@@ -71,8 +71,8 @@ impl EulerFdConfig {
     /// The effective kernel thread count: `threads` clamped to the machine's
     /// available parallelism (`0` = one per core). Clamping means an
     /// explicit `--threads 8` on a 1-core container degrades to the
-    /// sequential path instead of oversubscribing — the source of
-    /// BENCH_PR1's sub-1× "speedup".
+    /// sequential path instead of oversubscribing, which measured a sub-1×
+    /// "speedup".
     pub fn resolved_threads(&self) -> usize {
         fd_core::clamp_threads(self.threads)
     }

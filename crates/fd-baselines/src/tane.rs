@@ -23,7 +23,7 @@ struct Node {
     /// Stripped partition `Π̂_X`.
     partition: Arc<Partition>,
     /// `Σ(|c|−1)` over stripped clusters; equal values across a refinement
-    /// mean the partitions are identical (the Tane validity criterion).
+    /// mean the partitions are identical (the Tane validity test).
     error_num: usize,
 }
 

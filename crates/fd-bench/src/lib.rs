@@ -19,8 +19,9 @@
 //! ```
 //!
 //! Each binary accepts `--scale <f64>` to shrink/grow the workload and
-//! `--quick` as shorthand for a fast smoke configuration. Criterion
-//! microbenchmarks live in `benches/`.
+//! `--quick` as shorthand for a fast smoke configuration. Performance
+//! regressions are tracked by the separate `fdbench` benchmark
+//! (`python3 fdbench/run.py`), not by this crate.
 
 #![warn(missing_docs)]
 

@@ -227,10 +227,7 @@ impl Algo {
             match result {
                 Ok(outcome) => return outcome,
                 Err(payload) => {
-                    last_panic = match DiscoveryError::from_panic(payload.as_ref()) {
-                        DiscoveryError::Panicked { message } => message,
-                        other => other.to_string(),
-                    };
+                    last_panic = DiscoveryError::panic_message(payload.as_ref());
                     if !is_transient_panic(&last_panic) {
                         break;
                     }
@@ -350,10 +347,7 @@ pub fn run_isolated_algorithm(
                 return RunOutcome::Completed { secs: start.elapsed().as_secs_f64(), fds }
             }
             Err(payload) => {
-                last_panic = match DiscoveryError::from_panic(payload.as_ref()) {
-                    DiscoveryError::Panicked { message } => message,
-                    other => other.to_string(),
-                };
+                last_panic = DiscoveryError::panic_message(payload.as_ref());
                 if !is_transient_panic(&last_panic) {
                     break;
                 }

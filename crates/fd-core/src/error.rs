@@ -28,18 +28,18 @@ pub enum DiscoveryError {
 }
 
 impl DiscoveryError {
-    /// Renders a `catch_unwind` payload into a [`DiscoveryError::Panicked`],
-    /// extracting the message when the payload is a string (the common case
-    /// for `panic!`/`assert!`).
-    pub fn from_panic(payload: &(dyn std::any::Any + Send)) -> Self {
-        let message = if let Some(s) = payload.downcast_ref::<&str>() {
+    /// Renders a `catch_unwind` payload as the text of a
+    /// [`DiscoveryError::Panicked`]: the message when the payload is a string
+    /// (the common case for `panic!`/`assert!`), a fixed placeholder
+    /// otherwise.
+    pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+        if let Some(s) = payload.downcast_ref::<&str>() {
             (*s).to_owned()
         } else if let Some(s) = payload.downcast_ref::<String>() {
             s.clone()
         } else {
             "non-string panic payload".to_owned()
-        };
-        DiscoveryError::Panicked { message }
+        }
     }
 
     /// The termination reason this error maps to in run reports.
@@ -85,11 +85,9 @@ mod tests {
     #[test]
     fn panic_payloads_render() {
         let payload = std::panic::catch_unwind(|| panic!("boom {}", 7)).unwrap_err();
-        let err = DiscoveryError::from_panic(payload.as_ref());
-        match &err {
-            DiscoveryError::Panicked { message } => assert_eq!(message, "boom 7"),
-            other => panic!("wrong variant: {other:?}"),
-        }
+        let message = DiscoveryError::panic_message(payload.as_ref());
+        assert_eq!(message, "boom 7");
+        let err = DiscoveryError::Panicked { message };
         assert_eq!(err.termination(), Termination::Panicked);
         assert!(err.to_string().contains("boom 7"));
     }

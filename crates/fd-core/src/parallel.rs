@@ -1,11 +1,11 @@
 //! Adaptive parallelism policy shared by every data-parallel kernel.
 //!
-//! PR 1 gave each kernel its own hard-coded engagement threshold
-//! (`MIN_PAIRS_PER_WORKER`, `MIN_INVERSIONS_PARALLEL`, …) and trusted the
-//! caller's thread knob blindly. `BENCH_PR1.json` showed where that breaks:
-//! on a 1-core host an explicit `--threads 4` spawned four workers anyway and
-//! *lost* 10–14% of wall-clock to scheduling overhead. This module centralises
-//! both decisions:
+//! Each kernel used to carry its own hard-coded engagement threshold
+//! (`MIN_PAIRS_PER_WORKER`, `MIN_INVERSIONS_PARALLEL`, …) and trust the
+//! caller's thread knob blindly. That breaks on a 1-core host: an explicit
+//! `--threads 4` spawned four workers anyway and *lost* 10–14% of
+//! wall-clock to scheduling overhead. This module centralises both
+//! decisions:
 //!
 //! * [`clamp_threads`] resolves a user-facing thread knob against the
 //!   machine (`0` = auto; explicit values are capped at the available

@@ -27,6 +27,7 @@
 
 use crate::relation::{Relation, RowId};
 use fd_core::{AttrId, Budget, FastHashSet, Termination};
+use std::sync::OnceLock;
 
 /// Budget polling stride inside the partition product, matching the
 /// `POLL_STRIDE` convention of the budgeted Tane traversal: the clock and
@@ -443,11 +444,12 @@ pub fn sampling_clusters(relation: &Relation) -> Vec<Vec<RowId>> {
 }
 
 /// [`sampling_clusters`] with the per-attribute partitioning pass fanned out
-/// over scoped worker threads (each builds the stripped partitions of a
-/// contiguous attribute range). The worker count is chosen by the adaptive
-/// policy [`fd_core::parallel::decide`] — small relations take the
-/// sequential path outright. Deduplication runs sequentially in attribute
-/// order afterwards, so the result is identical for every thread count.
+/// over [`fd_core::parallel::fan_out_stealing`], one chunk per attribute.
+/// The worker count is chosen by the adaptive policy
+/// [`fd_core::parallel::decide`] — small relations take the sequential path
+/// outright. Each chunk fills its attribute's own slot and deduplication
+/// runs sequentially in attribute order afterwards, so the result is
+/// identical for every thread count.
 pub fn sampling_clusters_parallel(relation: &Relation, threads: usize) -> Vec<Vec<RowId>> {
     let n_attrs = relation.n_attrs();
     // Cost hint (per-item, u32-compare-equivalent units): one partitioning
@@ -459,29 +461,15 @@ pub fn sampling_clusters_parallel(relation: &Relation, threads: usize) -> Vec<Ve
             .map(|a| Partition::of_column(relation, a as AttrId).stripped())
             .collect()
     } else {
-        let attrs: Vec<AttrId> = (0..n_attrs as AttrId).collect();
-        let chunk = n_attrs.div_ceil(workers);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = attrs
-                .chunks(chunk)
-                .map(|attr_chunk| {
-                    s.spawn(move || {
-                        attr_chunk
-                            .iter()
-                            .map(|&a| Partition::of_column(relation, a).stripped())
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| {
-                    // Re-raise worker panics on the caller's thread so the
-                    // bench harness's catch_unwind isolation sees them.
-                    h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-                })
-                .collect()
-        })
+        let slots: Vec<OnceLock<Partition>> = (0..n_attrs).map(|_| OnceLock::new()).collect();
+        fd_core::parallel::fan_out_stealing("sampling_clusters", n_attrs, workers, |a| {
+            let _ = slots[a].set(Partition::of_column(relation, a as AttrId).stripped());
+        });
+        // fan_out_stealing runs every chunk exactly once (or re-raises a
+        // worker's panic), so every slot is filled.
+        let filled: Vec<Partition> = slots.into_iter().filter_map(OnceLock::into_inner).collect();
+        debug_assert_eq!(filled.len(), n_attrs);
+        filled
     };
     dedup_clusters(stripped.iter())
 }
@@ -699,5 +687,17 @@ mod tests {
         );
         let clusters = sampling_clusters(&r);
         assert_eq!(clusters.len(), 2); // {0,1} and {2,3}, each only once
+    }
+
+    #[test]
+    fn parallel_sampling_clusters_engage_and_match_sequential() {
+        // 16 attributes × 10k rows is enough work for `decide` to hand out
+        // more than one worker, so the fan-out path really runs.
+        let r = crate::synth::dataset_spec("lineitem").unwrap().generate(10_000);
+        let sequential = sampling_clusters(&r);
+        for threads in [2, 4, 8] {
+            assert!(fd_core::parallel::decide(r.n_attrs(), r.n_rows() as u64, threads) > 1);
+            assert_eq!(sampling_clusters_parallel(&r, threads), sequential, "threads={threads}");
+        }
     }
 }

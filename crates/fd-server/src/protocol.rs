@@ -40,7 +40,7 @@ use crate::jobs::{DiscoverOptions, JobOutcome, JobResult, Request, RowsSpec};
 use crate::metrics::TraceEntry;
 use crate::server::{Server, Session};
 use fd_core::{AttrId, AttrSet, FdSet};
-use fd_telemetry::Window;
+use fd_telemetry::{json_string, Window};
 use std::io::{BufRead, BufReader, Write};
 
 /// Serves the line protocol over any reader/writer pair until EOF or
@@ -572,25 +572,6 @@ fn err_line(error: &str) -> String {
     format!("{{\"ok\":false,\"error\":{}}}", json_string(error))
 }
 
-/// Minimal JSON string escaper (quotes, backslashes, control characters).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -661,6 +642,22 @@ mod tests {
         assert!(bad.contains("unknown command"), "{bad}");
         let empty_delta = handle_command(&server, &session, &["delta", "tiny"]);
         assert!(empty_delta.contains("need delete= and/or insert="), "{empty_delta}");
+        // An out-of-range delete id is refused before the dataset changes
+        // (its dictionaries included), not isolated as a panic in the engine.
+        let csv = concat!(env!("CARGO_MANIFEST_DIR"), "/../../data/patient.csv");
+        let registered = handle_command(&server, &session, &["register", "patient", csv]);
+        assert!(registered.contains("\"rows\":9"), "{registered}");
+        let insert = "insert=Zed|70|High|Male|drugZ";
+        let bad_delete =
+            handle_command(&server, &session, &["delta", "patient", "delete=1,9", insert]);
+        assert_eq!(
+            bad_delete,
+            "{\"ok\":false,\"error\":\"deleted row id 9 out of range (dataset has 9 rows)\"}"
+        );
+        assert_eq!(server.stats().jobs_panicked, 0);
+        let good_delete =
+            handle_command(&server, &session, &["delta", "patient", "delete=1", insert]);
+        assert!(good_delete.contains("\"version\":1,\"rows\":9"), "{good_delete}");
     }
 
     #[test]
@@ -675,11 +672,6 @@ mod tests {
         assert!(lines[0].contains("\"keys\":"), "{text}");
         assert!(lines[1].contains("\"jobs_completed\":"), "{text}");
         assert!(lines[2].contains("\"bye\":true"), "{text}");
-    }
-
-    #[test]
-    fn json_string_escapes() {
-        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
     }
 
     #[test]

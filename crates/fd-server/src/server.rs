@@ -7,7 +7,9 @@ use crate::jobs::{
 };
 use crate::metrics::{MetricsConfig, MetricsPlane, TraceEntry};
 use eulerfd::EulerFd;
-use fd_core::{candidate_keys, AttrSet, Budget, CancelToken, FdSet, Termination, Watchdog};
+use fd_core::{
+    candidate_keys, AttrSet, Budget, CancelToken, DiscoveryError, FdSet, Termination, Watchdog,
+};
 use fd_relation::CsvOptions;
 use fd_telemetry::TelemetrySnapshot;
 use std::collections::{BTreeMap, VecDeque};
@@ -549,11 +551,7 @@ fn execute_job(
                 shared.stats.jobs_panicked.fetch_add(1, Ordering::Relaxed);
                 fd_telemetry::counter!("server.jobs_panicked", 1);
                 token.cancel_with(Termination::Panicked);
-                let msg = panic
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_owned())
-                    .or_else(|| panic.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "opaque panic payload".to_owned());
+                let msg = DiscoveryError::panic_message(panic.as_ref());
                 JobOutcome::Failed { error: format!("job panicked (isolated): {msg}") }
             }
         }
@@ -620,6 +618,16 @@ fn run_request(shared: &Shared, request: &Request, budget: &Budget) -> JobOutcom
                 Err(e) => return JobOutcome::Failed { error: e.to_string() },
             };
             let mut ds = lock(&handle);
+            // Reject bad ids before anything mutates: encoding inserts grows
+            // the dictionaries, and the engine indexes rows by these ids.
+            let n_rows = ds.snapshot().0.n_rows();
+            if let Some(&bad) = deletes.iter().find(|&&d| d as usize >= n_rows) {
+                return JobOutcome::Failed {
+                    error: format!(
+                        "deleted row id {bad} out of range (dataset has {n_rows} rows)"
+                    ),
+                };
+            }
             let encoded = match inserts {
                 RowsSpec::Encoded(rows) => rows.clone(),
                 RowsSpec::Raw(rows) => match ds.encode_rows(rows) {

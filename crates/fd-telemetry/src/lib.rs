@@ -3,8 +3,7 @@
 //! A dependency-free registry of sharded-atomic counters, log2-bucketed
 //! histograms, RAII spans, and a bounded structured-event buffer, with a
 //! versioned JSON snapshot export (`fd-telemetry/v1`). Built in-repo under
-//! the same shim policy as `rand`/`proptest`/`criterion`: no external
-//! crates, ever.
+//! the same shim policy as `rand`/`proptest`: no external crates, ever.
 //!
 //! ## Zero cost when disabled
 //!
@@ -18,8 +17,9 @@
 //!    exception — see below.)
 //! 2. **Run time** — with the feature on, [`is_enabled`] reads a relaxed
 //!    `AtomicBool` that defaults to **off** and is flipped by
-//!    [`set_enabled`]. This lets one feature-on binary (e.g. `bench_smoke`)
-//!    measure its own telemetry-off vs. telemetry-on overhead, and keeps a
+//!    [`set_enabled`]. This lets one feature-on binary (e.g. the traced
+//!    `fdbench` build) measure its own telemetry-off vs. telemetry-on
+//!    overhead, and keeps a
 //!    feature-on `fdtool` silent unless `--metrics-out`/`--metrics-summary`
 //!    is passed.
 //!
@@ -67,7 +67,8 @@ pub use registry::{
 };
 pub use series::{Aggregate, TimeSeries, Window, DEFAULT_RETENTION};
 pub use snapshot::{
-    prom_name, EventSnapshot, HistogramSnapshot, TelemetrySnapshot, SCHEMA, SNAPSHOT_VERSION,
+    json_string, prom_name, EventSnapshot, HistogramSnapshot, TelemetrySnapshot, SCHEMA,
+    SNAPSHOT_VERSION,
 };
 pub use span::{current_span, span_depth, PhaseSpan, SpanGuard};
 pub use trace::{

@@ -411,8 +411,9 @@ pub fn prom_name(name: &str) -> String {
     out
 }
 
-/// Escapes a string as a JSON string literal (quotes included).
-fn json_string(s: &str) -> String {
+/// Escapes a string as a JSON string literal (quotes included): quotes,
+/// backslashes, and control characters.
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

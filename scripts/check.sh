@@ -11,7 +11,7 @@
 #
 # Pass `--delta-gate` to also run the incremental-maintenance gate: a 1%
 # row delta must re-discover in <= 25% of the cold wall with a
-# byte-identical FD set (bench_smoke --delta-gate).
+# byte-identical FD set (`delta_gate` in tests/gates.rs).
 #
 # Pass `--server-gate` to also run the serving-layer gate: the concurrent
 # smoke suite (tests/server_smoke.rs) under the telemetry feature, the CLI
@@ -55,19 +55,22 @@ cargo test -q -p fd-relation --test proptests novel_agree_sets_fold_matches_sequ
 cargo test -q -p fd-core --lib parallel::
 cargo clippy --workspace -- -D warnings -A clippy::needless_range_loop
 
-# Multi-core scaling gate: packed-kernel speedup tripwire, byte-identical
-# discovery output across worker counts, and (only when the host has >= 2
-# cores; auto-skipped on 1-core containers) a 2-worker sampling-throughput
-# floor of 1.2x.
-cargo run --release -p fd-bench --bin bench_smoke -- \
-    --scaling-gate --rows 30000 --repeat 1
+# The benchmark (fdbench/, its own workspace) must keep compiling against
+# the library crates it measures.
+cargo build --release --offline --manifest-path fdbench/Cargo.toml
 
-# Delta-maintenance gate (opt-in): incremental re-discovery after a 1% row
-# delta must cost <= 25% of a cold run and produce the byte-identical FD
-# set; 0.1% and 5% points are measured alongside for the curve.
+# Multi-core scaling gate (tests/gates.rs, lineitem 30k rows): packed-kernel
+# speedup tripwire, byte-identical discovery output across worker counts,
+# and (only when the host has >= 2 cores; auto-skipped on 1-core hosts) a
+# 2-worker sampling-throughput floor of 1.2x.
+cargo test -q --release --test gates scaling_gate -- --ignored --nocapture
+
+# Delta-maintenance gate (opt-in, tests/gates.rs, lineitem 8k rows):
+# incremental re-discovery after a 1% row delta must cost <= 25% of a cold
+# run and produce the byte-identical FD set; 0.1% and 5% points are
+# measured alongside for the curve.
 if [ "$RUN_DELTA_GATE" -eq 1 ]; then
-    cargo run --release -p fd-bench --bin bench_smoke -- \
-        --delta-gate --rows 8000 --repeat 1
+    cargo test -q --release --test gates delta_gate -- --ignored --nocapture
 fi
 
 # Telemetry schema gate: build the telemetry-on binary, export a real
