@@ -78,8 +78,12 @@ impl AgreeSetCollector {
             .saturating_mul(relation.n_attrs() as u64)
             .checked_div(clusters.len() as u64)
             .unwrap_or(0);
-        let workers =
-            fd_core::parallel::decide_at("agree_sets", clusters.len(), cost_hint, self.threads);
+        let workers = fd_core::parallel::decide_at(
+            "parallel.workers.agree_sets",
+            clusters.len(),
+            cost_hint,
+            self.threads,
+        );
         // All pair comparisons below run on the row-major mirror: built once
         // per collection, it turns every agree set into a contiguous scan
         // the bit-packed kernel handles word-wide.

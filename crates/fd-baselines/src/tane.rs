@@ -339,7 +339,12 @@ fn generate_products(
 ) -> Result<Vec<(AttrSet, Partition)>, Termination> {
     // Cost hint (per-item, u32-compare-equivalent units): one partition
     // product scans every row once, so `n_rows` per candidate.
-    let workers = fd_core::parallel::decide_at("tane_products", cands.len(), n_rows as u64, threads);
+    let workers = fd_core::parallel::decide_at(
+        "parallel.workers.tane_products",
+        cands.len(),
+        n_rows as u64,
+        threads,
+    );
     if workers <= 1 {
         let mut scratch = ProductScratch::default();
         let mut out = Vec::with_capacity(cands.len());

@@ -281,8 +281,13 @@ impl PCover {
         // result, only the wall clock. One inversion walks ~1Ki tree nodes —
         // the per-item cost hint (in u32-compare-equivalent units) handed to
         // the shared adaptive policy.
-        let workers = crate::parallel::decide_at("cover_invert", total, INVERSION_COST_UNITS, threads)
-            .min(jobs.len().max(1));
+        let workers = crate::parallel::decide_at(
+            "parallel.workers.cover_invert",
+            total,
+            INVERSION_COST_UNITS,
+            threads,
+        )
+        .min(jobs.len().max(1));
         let run_job = |job: &mut InvertJob<'_>| {
             for lhs in job.work.drain(..) {
                 if token.is_some_and(|t| t.is_cancelled()) {
@@ -364,13 +369,11 @@ impl PCover {
     /// Extracts the final FD set. Candidates `∅ → A` are kept — they assert
     /// that column `A` is constant, expressed as the most general FD.
     pub fn to_fdset(&self) -> FdSet {
-        let mut out = FdSet::new();
+        let mut fds = Vec::with_capacity(self.len);
         for (rhs, tree) in self.per_rhs.iter().enumerate() {
-            tree.for_each(|lhs| {
-                out.insert(Fd::new(lhs, rhs as AttrId));
-            });
+            tree.for_each(|lhs| fds.push(Fd::new(lhs, rhs as AttrId)));
         }
-        out
+        fds.into_iter().collect()
     }
 }
 
@@ -382,31 +385,37 @@ const INVERSION_COST_UNITS: u64 = 1024;
 
 /// One non-FD's inversion against a single RHS tree (the body shared by
 /// [`PCover::invert`] and the per-RHS shards of [`PCover::invert_batch`]).
+///
+/// Every candidate generalization `G ⊆ X` of the non-FD `X ↛ rhs` is
+/// removed and replaced by each `G ∪ {a}` with `a ∉ X`, `a ≠ rhs` (which
+/// keeps candidates non-trivial) that no remaining candidate covers. Two
+/// facts make this a single pass with one tree walk per general:
+///
+/// * Each per-RHS tree is an antichain: it starts as `{∅}`, an extension
+///   is inserted only if no candidate lies below it, and a candidate above
+///   `G ∪ {a}` would lie above `G`. So an extension `G' ∪ {a'}` inserted by
+///   this call never covers a later `G ∪ {a}`: since `a' ∉ X ⊇ G` it would
+///   need `a' = a` and `G' ⊆ G`, and two distinct sets of an antichain are
+///   never nested. The blocked extensions of every general can therefore be
+///   computed against the tree as it stands right after the removals.
+/// * Every inserted candidate contains an attribute outside `X`, so none is
+///   a generalization of `X`: a second removal pass would find nothing.
+///
+/// Inserts run generals in removal order and attributes ascending, so the
+/// tree shapes are the same as the textbook per-attribute loop's.
 fn invert_into_tree(tree: &mut LhsTree, n_attrs: usize, rhs: AttrId, non_fd_lhs: &AttrSet) -> InvertDelta {
-    let mut delta = InvertDelta::default();
-    loop {
-        let generals = tree.remove_subsets_of(non_fd_lhs);
-        if generals.is_empty() {
-            break;
-        }
-        delta.removed += generals.len();
-        for general in generals {
-            for attr in 0..n_attrs {
-                let attr = attr as AttrId;
-                // Skip attributes already in the candidate or equal to its
-                // RHS (keeps candidates non-trivial), and attributes of
-                // the non-FD's LHS — those specializations stay inside the
-                // invalidated region and would be removed again next loop.
-                if general.contains(attr) || attr == rhs || non_fd_lhs.contains(attr) {
-                    continue;
-                }
-                let candidate = general.with(attr);
-                if tree.contains_subset_of(&candidate) {
-                    continue; // a more general candidate already covers it
-                }
-                tree.insert(candidate);
-                delta.added += 1;
-            }
+    let generals = tree.remove_subsets_of(non_fd_lhs);
+    if generals.is_empty() {
+        return InvertDelta::default();
+    }
+    let extensions = AttrSet::full(n_attrs).difference(non_fd_lhs).without(rhs);
+    let blocked: Vec<AttrSet> =
+        generals.iter().map(|general| tree.blocked_extensions(general, &extensions)).collect();
+    let mut delta = InvertDelta { removed: generals.len(), added: 0 };
+    for (general, blocked) in generals.iter().zip(&blocked) {
+        for attr in extensions.difference(blocked).iter() {
+            tree.insert(general.with(attr));
+            delta.added += 1;
         }
     }
     delta

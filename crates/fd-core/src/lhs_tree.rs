@@ -142,11 +142,15 @@ impl LhsTree {
             self.len = 1;
             return true;
         }
-        // Descend iteratively, tracking the path for intersection refresh.
-        let mut path: Vec<NodeId> = Vec::new();
+        // Descend iteratively, narrowing each inner node's cached
+        // intersection on the way down: after the insert, a subtree on the
+        // path stores its old sets plus `lhs`, so its intersection is the old
+        // one ∩ `lhs`. If `lhs` turns out to be present already it lies
+        // beneath every node on the path, and narrowing changes nothing.
+        let mut parent = NIL;
         let mut cur = self.root;
         loop {
-            match &self.nodes[cur as usize] {
+            match &mut self.nodes[cur as usize] {
                 Node::Leaf(existing) => {
                     let existing = *existing;
                     if existing == lhs {
@@ -170,46 +174,40 @@ impl LhsTree {
                         with,
                     });
                     // Hook the new inner node into the parent (or the root).
-                    match path.last() {
-                        None => self.root = inner,
-                        Some(&parent) => {
-                            if let Node::Inner { without, with, .. } =
-                                &mut self.nodes[parent as usize]
-                            {
-                                if *without == cur {
-                                    *without = inner;
-                                } else {
-                                    *with = inner;
-                                }
-                            }
+                    if parent == NIL {
+                        self.root = inner;
+                    } else if let Node::Inner { without, with, .. } =
+                        &mut self.nodes[parent as usize]
+                    {
+                        if *without == cur {
+                            *without = inner;
+                        } else {
+                            *with = inner;
                         }
                     }
                     break;
                 }
-                Node::Inner { attr, without, with, .. } => {
+                Node::Inner { attr, intersection, without, with } => {
+                    *intersection = intersection.intersect(&lhs);
                     let goes_with = lhs.contains(*attr);
                     let side = if goes_with { *with } else { *without };
-                    if side == NIL {
-                        let leaf = self.alloc(Node::Leaf(lhs));
-                        if let Node::Inner { without, with, .. } = &mut self.nodes[cur as usize] {
-                            if goes_with {
-                                *with = leaf;
-                            } else {
-                                *without = leaf;
-                            }
-                        }
-                        path.push(cur);
-                        break;
+                    if side != NIL {
+                        parent = cur;
+                        cur = side;
+                        continue;
                     }
-                    path.push(cur);
-                    cur = side;
+                    let leaf = self.alloc(Node::Leaf(lhs));
+                    if let Node::Inner { without, with, .. } = &mut self.nodes[cur as usize] {
+                        if goes_with {
+                            *with = leaf;
+                        } else {
+                            *without = leaf;
+                        }
+                    }
+                    break;
                 }
                 Node::Free(_) => unreachable!("live traversal reached a free slot"),
             }
-        }
-        // Refresh cached intersections bottom-up along the path.
-        for &id in path.iter().rev() {
-            self.refresh_intersection(id);
         }
         self.len += 1;
         true
@@ -246,6 +244,57 @@ impl LhsTree {
                 None
             }
             Node::Free(_) => unreachable!("live traversal reached a free slot"),
+        }
+    }
+
+    /// The attributes `a ∈ allowed` for which some stored set is a subset of
+    /// `base ∪ {a}`: exactly `{a ∈ allowed : contains_subset_of(base.with(a))}`,
+    /// answered in one walk instead of one probe per attribute.
+    ///
+    /// A stored set `S` lies below `base ∪ {a}` iff `S \ base ⊆ {a}`. Every
+    /// set beneath an inner node contains its cached intersection `I`, so a
+    /// subtree is skipped when `I \ base` has two or more attributes, or
+    /// exactly one that is not allowed or already blocked.
+    pub fn blocked_extensions(&self, base: &AttrSet, allowed: &AttrSet) -> AttrSet {
+        let mut open = *allowed;
+        self.block_from(self.root, base, &mut open);
+        allowed.difference(&open)
+    }
+
+    /// Walks the subtree at `id`, removing from `open` every attribute `a`
+    /// whose extension `base ∪ {a}` has a stored subset.
+    fn block_from(&self, id: NodeId, base: &AttrSet, open: &mut AttrSet) {
+        if id == NIL {
+            return;
+        }
+        let (outside, children) = match &self.nodes[id as usize] {
+            Node::Leaf(s) => (s.difference(base), None),
+            Node::Inner { attr, intersection, without, with } => {
+                (intersection.difference(base), Some((*attr, *without, *with)))
+            }
+            Node::Free(_) => unreachable!("live traversal reached a free slot"),
+        };
+        // Two or more attributes outside `base`: no single-attribute
+        // extension reaches any set down here.
+        if outside.len() > 1 {
+            return;
+        }
+        let only = outside.first();
+        if only.is_some_and(|b| !open.contains(b)) {
+            return;
+        }
+        match (children, only) {
+            (None, Some(b)) => open.remove(b),
+            // A stored subset of `base` itself blocks every extension.
+            (None, None) => *open = AttrSet::empty(),
+            (Some((attr, without, with)), _) => {
+                self.block_from(without, base, open);
+                // Sets beneath `with` contain `attr`; outside `base` it is
+                // the only attribute they could block.
+                if base.contains(attr) || open.contains(attr) {
+                    self.block_from(with, base, open);
+                }
+            }
         }
     }
 
@@ -477,6 +526,7 @@ impl LhsTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn s(bits: &[u16]) -> AttrSet {
         AttrSet::from_attrs(bits.iter().copied())
@@ -582,5 +632,55 @@ mod tests {
         sup.sort();
         assert_eq!(sup.len(), 3);
         assert!(sup.contains(&s(&[1, 2])) && sup.contains(&s(&[1, 2, 3])) && sup.contains(&s(&[2, 3])));
+    }
+
+    /// Returns the intersection of the leaves beneath `id`, asserting that
+    /// every inner node on the way caches exactly that.
+    fn checked_intersection(tree: &LhsTree, id: NodeId) -> AttrSet {
+        match &tree.nodes[id as usize] {
+            Node::Leaf(s) => *s,
+            Node::Inner { intersection, without, with, .. } => {
+                let actual = [*without, *with]
+                    .into_iter()
+                    .filter(|&child| child != NIL)
+                    .map(|child| checked_intersection(tree, child))
+                    .reduce(|a, b| a.intersect(&b))
+                    .expect("an inner node has a child");
+                assert_eq!(*intersection, actual, "stale intersection at node {id}");
+                actual
+            }
+            Node::Free(_) => panic!("live traversal reached a free slot"),
+        }
+    }
+
+    proptest! {
+        /// The top-down intersection update of `insert` and the bottom-up
+        /// refresh of the removals keep every cached intersection exact.
+        /// Attribute ids come in three bands (0..8, 62..70, 124..132) so
+        /// sets cross the 64- and 128-bit word boundaries.
+        #[test]
+        fn cached_intersections_match_the_leaves_beneath(
+            ops in prop::collection::vec((0..4u8, prop::collection::vec(0..24u16, 0..6)), 1..80),
+        ) {
+            let mut tree = LhsTree::new();
+            for (kind, ids) in &ops {
+                let set = AttrSet::from_attrs(ids.iter().map(|&i| (i / 8) * 62 + i % 8));
+                match kind {
+                    0 | 1 => {
+                        tree.insert(set);
+                    }
+                    2 => {
+                        tree.remove(&set);
+                    }
+                    _ => {
+                        tree.remove_subsets_of(&set);
+                    }
+                }
+                if tree.root != NIL {
+                    checked_intersection(&tree, tree.root);
+                }
+                prop_assert_eq!(tree.to_vec().len(), tree.len());
+            }
+        }
     }
 }

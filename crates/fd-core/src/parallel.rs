@@ -111,15 +111,20 @@ pub fn decide(work_items: usize, cost_hint: u64, threads: usize) -> usize {
     threads.min(work_items).min(usize::try_from(by_cost).unwrap_or(usize::MAX))
 }
 
-/// [`decide`] with a call-site label: records the chosen worker count into a
-/// `parallel.workers.<site>` histogram when telemetry is enabled, so a run's
-/// snapshot shows where the policy engaged parallelism and at what width.
-/// Identical to [`decide`] in every other respect.
-pub fn decide_at(site: &str, work_items: usize, cost_hint: u64, threads: usize) -> usize {
+/// [`decide`] with a call-site histogram: records the chosen worker count
+/// into `histogram` (by convention `parallel.workers.<site>`) when telemetry
+/// is enabled, so a run's snapshot shows where the policy engaged
+/// parallelism and at what width. The name is passed whole so a traced call
+/// allocates nothing. Identical to [`decide`] in every other respect.
+pub fn decide_at(
+    histogram: &'static str,
+    work_items: usize,
+    cost_hint: u64,
+    threads: usize,
+) -> usize {
     let workers = decide(work_items, cost_hint, threads);
     if fd_telemetry::is_enabled() {
-        fd_telemetry::registry()
-            .observe_by_name(&format!("parallel.workers.{site}"), workers as u64);
+        fd_telemetry::registry().observe_by_name(histogram, workers as u64);
     }
     workers
 }
@@ -300,7 +305,8 @@ mod tests {
     #[test]
     fn decide_at_matches_decide() {
         for (items, cost, threads) in [(1_000_000, 16, 8), (100, 16, 8), (3, u64::MAX, 8)] {
-            assert_eq!(decide_at("test.site", items, cost, threads), decide(items, cost, threads));
+            let at = decide_at("parallel.workers.test_site", items, cost, threads);
+            assert_eq!(at, decide(items, cost, threads));
         }
     }
 

@@ -3,7 +3,8 @@
 //! algebraic laws the covers rely on.
 
 use fd_core::{
-    invert_ncover, AttrId, AttrSet, Fd, FdSet, FdTree, LhsTree, NCover, NaiveLhsStore,
+    invert_ncover, AttrId, AttrSet, Fd, FdSet, FdTree, InvertDelta, LhsTree, NCover,
+    NaiveLhsStore, PCover,
 };
 use proptest::prelude::*;
 
@@ -327,6 +328,152 @@ proptest! {
             prop_assert_eq!(delta, expect_delta, "threads={}", threads);
             prop_assert!(batch.is_empty(), "invert_batch drains its input");
         }
+    }
+}
+
+/// Attribute sets over three bands of ids (0..8, 62..70, 124..132), so they
+/// cross the 64- and 128-bit word boundaries while subsets stay common.
+fn banded_attr_set() -> impl Strategy<Value = AttrSet> {
+    prop::collection::vec(0..24u16, 0..7)
+        .prop_map(|ids| AttrSet::from_attrs(ids.into_iter().map(|i| (i / 8) * 62 + i % 8)))
+}
+
+/// The textbook per-attribute Algorithm 3 step for one non-FD `X ↛ rhs`:
+/// strip every generalization of `X`, then probe each extension `G ∪ {a}`
+/// separately, repeating until no generalization is left.
+fn textbook_invert(tree: &mut LhsTree, n_attrs: usize, rhs: AttrId, x: &AttrSet) -> InvertDelta {
+    let mut delta = InvertDelta::default();
+    loop {
+        let generals = tree.remove_subsets_of(x);
+        if generals.is_empty() {
+            return delta;
+        }
+        delta.removed += generals.len();
+        for general in generals {
+            for a in 0..n_attrs as AttrId {
+                if general.contains(a) || a == rhs || x.contains(a) {
+                    continue;
+                }
+                let candidate = general.with(a);
+                if !tree.contains_subset_of(&candidate) {
+                    tree.insert(candidate);
+                    delta.added += 1;
+                }
+            }
+        }
+    }
+}
+
+fn fdset_of(trees: &[LhsTree]) -> FdSet {
+    let mut fds = FdSet::new();
+    for (rhs, tree) in trees.iter().enumerate() {
+        tree.for_each(|lhs| {
+            fds.insert(Fd::new(lhs, rhs as AttrId));
+        });
+    }
+    fds
+}
+
+/// Schema width of the wide inversion test: past one 64-bit word.
+const WIDE: usize = 70;
+/// The attributes on which the wide test's tuple pairs may disagree.
+const WINDOW: std::ops::Range<u16> = 46..WIDE as u16;
+
+proptest! {
+    /// One `blocked_extensions` walk answers exactly what one
+    /// `contains_subset_of` probe per allowed attribute would, on trees that
+    /// have been through removals (freed slots reused, inner nodes
+    /// collapsed).
+    #[test]
+    fn blocked_extensions_match_per_attribute_probes(
+        ops in prop::collection::vec(
+            prop_oneof![
+                3 => banded_attr_set().prop_map(Op::Insert),
+                1 => banded_attr_set().prop_map(Op::Remove),
+                1 => banded_attr_set().prop_map(Op::RemoveSubsetsOf),
+            ],
+            1..80,
+        ),
+        queries in prop::collection::vec((banded_attr_set(), banded_attr_set()), 1..20),
+    ) {
+        let mut tree = LhsTree::new();
+        for o in &ops {
+            match o {
+                Op::Insert(s) => {
+                    tree.insert(*s);
+                }
+                Op::Remove(s) => {
+                    tree.remove(s);
+                }
+                Op::RemoveSubsetsOf(s) => {
+                    tree.remove_subsets_of(s);
+                }
+            }
+        }
+        for (base, extra) in &queries {
+            // Allowed attributes: a random set plus a few fixed ones on each
+            // side of the word boundaries, never inside `base`.
+            let allowed = extra.union(&AttrSet::from_attrs([63u16, 64, 127, 128])).difference(base);
+            let expect: AttrSet =
+                allowed.iter().filter(|&a| tree.contains_subset_of(&base.with(a))).collect();
+            prop_assert_eq!(tree.blocked_extensions(base, &allowed), expect, "base {:?}", base);
+        }
+    }
+
+    /// Over a 70-attribute schema, every inversion path — batch at 1 and 2
+    /// threads, one non-FD at a time, and the per-RHS rebuild — matches the
+    /// textbook per-attribute Algorithm 3 loop in the cover and the churn.
+    #[test]
+    fn wide_inversion_matches_textbook_algorithm_3(
+        disagrees in prop::collection::vec(prop::collection::vec(WINDOW, 1..12), 1..16),
+    ) {
+        // Each sampled pair agrees everywhere except on a few attributes of
+        // a window straddling the first word boundary.
+        let mut nc = NCover::new(WIDE);
+        for disagree in &disagrees {
+            let disagree = AttrSet::from_attrs(disagree.iter().copied());
+            nc.add_agree_set(AttrSet::full(WIDE).difference(&disagree));
+        }
+        let mut sorted = nc.to_fds();
+        sorted.sort_by_key(|fd| std::cmp::Reverse(fd.lhs.len()));
+
+        let mut reference: Vec<LhsTree> = (0..WIDE).map(|_| LhsTree::new()).collect();
+        for tree in &mut reference {
+            tree.insert(AttrSet::empty());
+        }
+        let mut expect_delta = InvertDelta::default();
+        for fd in &sorted {
+            expect_delta += textbook_invert(&mut reference[fd.rhs as usize], WIDE, fd.rhs, &fd.lhs);
+        }
+        let expect = fdset_of(&reference);
+
+        for threads in [1usize, 2] {
+            let mut pc = PCover::initialized(WIDE);
+            let mut batch = nc.to_fds();
+            let delta = pc.invert_batch(&mut batch, threads);
+            prop_assert_eq!(pc.to_fdset(), expect.clone(), "threads={}", threads);
+            prop_assert_eq!(delta, expect_delta, "threads={}", threads);
+        }
+
+        let mut pc = PCover::initialized(WIDE);
+        let mut delta = InvertDelta::default();
+        for fd in &sorted {
+            delta += pc.invert(*fd);
+        }
+        prop_assert_eq!(pc.to_fdset(), expect.clone());
+        prop_assert_eq!(delta, expect_delta);
+
+        let mut pc = PCover::initialized(WIDE);
+        for rhs in 0..WIDE as AttrId {
+            let lhss = nc.tree(rhs).to_vec();
+            let revived = pc.rebuild_rhs(rhs, lhss);
+            // Everything but a surviving `∅` is new against the seeded cover.
+            let rebuilt = &reference[rhs as usize];
+            let survivors = usize::from(rebuilt.contains_subset_of(&AttrSet::empty()));
+            prop_assert_eq!(revived, rebuilt.len() - survivors, "rhs={}", rhs);
+        }
+        prop_assert_eq!(pc.to_fdset(), expect);
+        prop_assert_eq!(pc.len(), reference.iter().map(LhsTree::len).sum::<usize>());
     }
 }
 

@@ -454,8 +454,12 @@ pub fn sampling_clusters_parallel(relation: &Relation, threads: usize) -> Vec<Ve
     let n_attrs = relation.n_attrs();
     // Cost hint (per-item, u32-compare-equivalent units): one partitioning
     // pass touches every row of the column, so `n_rows` per attribute.
-    let workers =
-        fd_core::parallel::decide_at("sampling_clusters", n_attrs, relation.n_rows() as u64, threads);
+    let workers = fd_core::parallel::decide_at(
+        "parallel.workers.sampling_clusters",
+        n_attrs,
+        relation.n_rows() as u64,
+        threads,
+    );
     let stripped: Vec<Partition> = if workers <= 1 {
         (0..n_attrs)
             .map(|a| Partition::of_column(relation, a as AttrId).stripped())

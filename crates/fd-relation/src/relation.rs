@@ -505,7 +505,8 @@ impl RowMajor {
     /// comparison per attribute, so `width` is the hint (see the unit table
     /// in `fd_core::parallel`).
     fn plan_workers(&self, pairs: usize, threads: usize) -> usize {
-        fd_core::parallel::decide_at("pair_compare", pairs, self.width as u64, threads)
+        let width = self.width as u64;
+        fd_core::parallel::decide_at("parallel.workers.pair_compare", pairs, width, threads)
     }
 }
 

@@ -53,6 +53,12 @@ cargo test -q -p fd-relation --test proptests
 cargo test -q -p fd-relation --test proptests packed_kernel_matches_scalar_reference
 cargo test -q -p fd-relation --test proptests novel_agree_sets_fold_matches_sequential_novelty_scan
 cargo test -q -p fd-core --lib parallel::
+# Inversion-equivalence gate: the one-walk blocked-extension query must match
+# one subset probe per attribute across the 64/128-attribute word
+# boundaries, and every inversion path must match the textbook per-attribute
+# Algorithm 3 loop on a 70-attribute schema.
+cargo test -q -p fd-core --test proptests blocked_extensions_match_per_attribute_probes
+cargo test -q -p fd-core --test proptests wide_inversion_matches_textbook_algorithm_3
 cargo clippy --workspace -- -D warnings -A clippy::needless_range_loop
 
 # The benchmark (fdbench/, its own workspace) must keep compiling against
