@@ -60,12 +60,6 @@ pub struct EulerFdReport {
     /// pairs), so this counts the final drain's input; for `Cancelled` it
     /// counts evidence the returned cover does *not* reflect.
     pub pending_at_trip: usize,
-    /// Wall-clock seconds spent in the sampling module (cycle 1), including
-    /// the initial MLFQ pass. Diagnostic only — never compared across runs.
-    pub phase_sample_s: f64,
-    /// Wall-clock seconds spent inverting non-FDs into the positive cover
-    /// (cycle 2 plus the final drain). Diagnostic only.
-    pub phase_invert_s: f64,
 }
 
 impl EulerFdReport {
@@ -167,15 +161,13 @@ impl EulerFd {
             }
         }
 
-        // All phase timing flows through `phase_span!`: the guard adds its
-        // elapsed seconds to the report field on drop (on every exit path,
-        // including `break 'run`), so there is exactly one accumulation site
-        // per phase instead of the three hand-rolled `Instant` pairs that
-        // could desync.
+        // Phase timing is telemetry only: each phase runs under a
+        // `euler.phase.sample` / `euler.phase.invert` span, which records on
+        // drop (every exit path, including `break 'run`).
         let mut sampler;
         let mut termination;
         {
-            let _sample = fd_telemetry::phase_span!("euler.phase.sample", report.phase_sample_s);
+            let _sample = fd_telemetry::span!("euler.phase.sample");
             sampler = match cache {
                 Some(cache) => Sampler::new_cached(relation, &self.config, cache),
                 None => Sampler::new(relation, &self.config),
@@ -209,8 +201,7 @@ impl EulerFd {
             // the growth rate says "keep sampling" but the queue has
             // drained, retired clusters are revived for another pass.
             {
-                let _sample =
-                    fd_telemetry::phase_span!("euler.phase.sample", report.phase_sample_s);
+                let _sample = fd_telemetry::span!("euler.phase.sample");
                 loop {
                     let size_before = ncover.len();
                     let adds_before = ncover.insertions();
@@ -223,7 +214,7 @@ impl EulerFd {
                             .poll(sampler.stats().pairs_compared, ncover.len() + pcover.len())
                         {
                             termination = t;
-                            break 'run; // the guard accumulates on drop
+                            break 'run; // the span records on drop
                         }
                         if !sampler.sample_next(relation, &mut ncover, &mut pending) {
                             break;
@@ -262,8 +253,7 @@ impl EulerFd {
             // `pending` for the final drain below.
             let before_p = pcover.len();
             let delta = {
-                let _invert =
-                    fd_telemetry::phase_span!("euler.phase.invert", report.phase_invert_s);
+                let _invert = fd_telemetry::span!("euler.phase.invert");
                 pcover.invert_batch_cancellable(
                     &mut pending,
                     self.config.resolved_threads(),
@@ -316,8 +306,7 @@ impl EulerFd {
             // actually compared. Skipped only on an external cancel, where
             // the caller asked to stop as fast as possible.
             let delta = {
-                let _invert =
-                    fd_telemetry::phase_span!("euler.phase.invert", report.phase_invert_s);
+                let _invert = fd_telemetry::span!("euler.phase.invert");
                 pcover.invert_batch(&mut pending, self.config.resolved_threads())
             };
             report.inversions += 1;

@@ -4,15 +4,15 @@
 //! pair-comparison budget and an optional parallel enumeration path.
 //!
 //! Parallelism is embarrassing here: clusters are independent, agree-set
-//! computation is pure, and deduplication merges cheaply — each worker keeps
-//! a local hash set of distinct agree sets and only the union is folded into
-//! the (sequential) cover construction. The paper's implementations are
+//! computation is pure, and deduplication merges cheaply — each cluster chunk
+//! keeps a local hash set of distinct agree sets and only the union is folded
+//! into the (sequential) cover construction. The paper's implementations are
 //! single-threaded; parallel collection is an extension, off by default.
 
 use crate::fdep::seed_empty_lhs_non_fds;
 use fd_core::{AttrSet, Budget, FastHashSet, NCover, Termination};
-use fd_relation::{sampling_clusters, Relation, RowId, RowMajor};
-use std::sync::atomic::{AtomicU64, Ordering};
+use fd_relation::{sampling_clusters, Relation, RowId};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Configuration for agree-set collection.
 #[derive(Clone, Copy, Debug, Default)]
@@ -88,103 +88,63 @@ impl AgreeSetCollector {
         // per collection, it turns every agree set into a contiguous scan
         // the bit-packed kernel handles word-wide.
         let row_major = relation.row_major();
-        let (distinct, termination) = if workers > 1 {
-            parallel_distinct_agree_sets(&row_major, &clusters, workers, budget)
-        } else {
-            sequential_distinct_agree_sets(&row_major, &clusters, budget)
-        };
+        // Every chunk polls the budget once per cluster against two shared
+        // counters: pairs compared and distinct agree sets held. At one
+        // worker the latter is exactly the size of the one dedup set; across
+        // workers it sums their local sets — the sets actually resident —
+        // so the cover cap bounds memory at every thread count. The first
+        // trip cancels the token, which stops the sibling chunks too.
+        let pairs_done = AtomicU64::new(0);
+        let distinct_held = AtomicUsize::new(0);
+        let mut distinct: FastHashSet<AttrSet> = FastHashSet::default();
+        let mut tripped = None;
+        fd_core::parallel::map_ordered(
+            "agree_sets",
+            workers,
+            // Chunks are cut by pair count: cluster sizes are heavily skewed
+            // and pairs grow quadratically.
+            fd_core::parallel::chunks(&clusters, workers, 1, |c| pairs_in(c)),
+            |chunk| {
+                let mut seen: FastHashSet<AttrSet> = FastHashSet::default();
+                for cluster in chunk {
+                    let polled = budget.poll(
+                        pairs_done.load(Ordering::Relaxed),
+                        distinct_held.load(Ordering::Relaxed),
+                    );
+                    if let Some(t) = polled {
+                        return (seen, Some(t));
+                    }
+                    let held = seen.len();
+                    for i in 0..cluster.len() {
+                        for j in i + 1..cluster.len() {
+                            seen.insert(row_major.agree_set(cluster[i], cluster[j]));
+                        }
+                    }
+                    pairs_done.fetch_add(pairs_in(cluster), Ordering::Relaxed);
+                    distinct_held.fetch_add(seen.len() - held, Ordering::Relaxed);
+                }
+                (seen, None)
+            },
+            |(seen, chunk_trip)| {
+                if distinct.is_empty() {
+                    distinct = seen;
+                } else {
+                    distinct.extend(seen);
+                }
+                tripped = tripped.or(chunk_trip);
+            },
+        );
         let mut ncover = NCover::new(relation.n_attrs());
         seed_empty_lhs_non_fds(relation, &mut ncover);
         for agree in distinct {
             ncover.add_agree_set(agree);
         }
-        (Some(ncover), termination)
+        (Some(ncover), tripped.unwrap_or_default())
     }
 }
 
 fn pairs_in(cluster: &[RowId]) -> u64 {
     (cluster.len() as u64) * (cluster.len() as u64 - 1) / 2
-}
-
-fn sequential_distinct_agree_sets(
-    rows: &RowMajor,
-    clusters: &[Vec<RowId>],
-    budget: &Budget,
-) -> (FastHashSet<AttrSet>, Termination) {
-    let mut seen: FastHashSet<AttrSet> = FastHashSet::default();
-    let mut pairs = 0u64;
-    for cluster in clusters {
-        if let Some(t) = budget.poll(pairs, seen.len()) {
-            return (seen, t);
-        }
-        for i in 0..cluster.len() {
-            for j in i + 1..cluster.len() {
-                seen.insert(rows.agree_set(cluster[i], cluster[j]));
-            }
-        }
-        pairs += pairs_in(cluster);
-    }
-    (seen, Termination::Converged)
-}
-
-fn parallel_distinct_agree_sets(
-    rows: &RowMajor,
-    clusters: &[Vec<RowId>],
-    threads: usize,
-    budget: &Budget,
-) -> (FastHashSet<AttrSet>, Termination) {
-    // Balance chunks by pair count, not cluster count — cluster sizes are
-    // heavily skewed and pairs grow quadratically.
-    let total: u64 = clusters.iter().map(|c| pairs_in(c)).sum();
-    let per_chunk = (total / threads as u64).max(1);
-    let mut chunks: Vec<Vec<&Vec<RowId>>> = vec![Vec::new()];
-    let mut acc = 0u64;
-    for cluster in clusters {
-        if acc >= per_chunk && chunks.len() < threads {
-            chunks.push(Vec::new());
-            acc = 0;
-        }
-        if let Some(chunk) = chunks.last_mut() {
-            chunk.push(cluster);
-        }
-        acc += pairs_in(cluster);
-    }
-    // Workers poll the shared budget against a global pair counter per
-    // cluster; the first to trip cancels the token, stopping the siblings.
-    let pairs_done = AtomicU64::new(0);
-    let locals: Vec<FastHashSet<AttrSet>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| {
-                let pairs_done = &pairs_done;
-                scope.spawn(move || {
-                    let mut seen: FastHashSet<AttrSet> = FastHashSet::default();
-                    for cluster in chunk {
-                        if budget.poll(pairs_done.load(Ordering::Relaxed), 0).is_some() {
-                            break;
-                        }
-                        for i in 0..cluster.len() {
-                            for j in i + 1..cluster.len() {
-                                seen.insert(rows.agree_set(cluster[i], cluster[j]));
-                            }
-                        }
-                        pairs_done.fetch_add(pairs_in(cluster), Ordering::Relaxed);
-                    }
-                    seen
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
-            .collect()
-    });
-    let mut merged: FastHashSet<AttrSet> = FastHashSet::default();
-    for local in locals {
-        merged.extend(local);
-    }
-    let termination = budget.token().reason().unwrap_or_default();
-    (merged, termination)
 }
 
 #[cfg(test)]
@@ -242,6 +202,27 @@ mod tests {
         assert_eq!(ts, Termination::Converged);
         assert_eq!(tp, Termination::Converged);
         assert_eq!(seq.unwrap().len(), par.unwrap().len());
+    }
+
+    #[test]
+    fn cover_and_pair_caps_trip_at_every_thread_count() {
+        let r = dataset_spec("abalone").unwrap().generate(600);
+        let clusters = sampling_clusters(&r);
+        let total: u64 = clusters.iter().map(|c| pairs_in(c)).sum();
+        let cost_hint = total * r.n_attrs() as u64 / clusters.len() as u64;
+        for threads in [2, 4] {
+            assert!(
+                fd_core::decide(clusters.len(), cost_hint, threads) >= 2,
+                "collection must fan out at threads={threads}"
+            );
+        }
+        for threads in [1, 2, 4] {
+            let collector = AgreeSetCollector::new().with_threads(threads);
+            let (_, t) = collector.collect_budgeted(&r, &Budget::unlimited().cover_cap(8));
+            assert_eq!(t, Termination::MemoryBudget, "cover cap at threads={threads}");
+            let (_, t) = collector.collect_budgeted(&r, &Budget::unlimited().pair_cap(total / 100));
+            assert_eq!(t, Termination::PairBudget, "pair cap at threads={threads}");
+        }
     }
 
     #[test]

@@ -325,11 +325,13 @@ impl Tane {
 /// Computes the partition products of one generated lattice level.
 ///
 /// Workers are chosen by [`fd_core::parallel::decide`] with the relation's
-/// row count as the per-product cost hint; the sequential path keeps the
-/// caller's single thread. Each worker owns its scratch and polls the budget
-/// between candidates and (stride 64) inside each product; results are
-/// merged in plan order, never completion order, so the generated level —
-/// and with it the whole traversal — is identical for every thread count.
+/// row count as the per-product cost hint, and candidate chunks run through
+/// [`fd_core::parallel::map_ordered`] (inline on the caller's thread at one
+/// worker). Each chunk owns its scratch and polls the budget between
+/// candidates and (stride 64) inside each product. Chunk results are
+/// concatenated in plan order, never completion order, and the first `Err`
+/// in chunk order wins, so the generated level — and with it the whole
+/// traversal — is identical for every thread count.
 fn generate_products(
     cands: &[(AttrSet, AttrSet, AttrSet)],
     current: &HashMap<AttrSet, Node>,
@@ -345,10 +347,10 @@ fn generate_products(
         n_rows as u64,
         threads,
     );
-    if workers <= 1 {
+    let products_of = |chunk: &[(AttrSet, AttrSet, AttrSet)]| {
         let mut scratch = ProductScratch::default();
-        let mut out = Vec::with_capacity(cands.len());
-        for (i, &(x, y1, y2)) in cands.iter().enumerate() {
+        let mut out = Vec::with_capacity(chunk.len());
+        for (i, &(x, y1, y2)) in chunk.iter().enumerate() {
             // The in-product stride only fires on partitions with ≥ 64
             // clusters; low-cardinality schemas (few big clusters, tens of
             // thousands of candidates per level) need this between-candidate
@@ -365,47 +367,23 @@ fn generate_products(
             )?;
             out.push((x, p));
         }
-        return Ok(out);
-    }
-    let chunk = cands.len().div_ceil(workers);
-    let results: Vec<Result<Vec<(AttrSet, Partition)>, Termination>> =
-        std::thread::scope(|s| {
-            let handles: Vec<_> = cands
-                .chunks(chunk)
-                .map(|chunk| {
-                    s.spawn(move || {
-                        let mut scratch = ProductScratch::default();
-                        let mut out = Vec::with_capacity(chunk.len());
-                        for (i, &(x, y1, y2)) in chunk.iter().enumerate() {
-                            if (i as u32).is_multiple_of(POLL_STRIDE) {
-                                if let Some(t) = budget.poll_time() {
-                                    return Err(t);
-                                }
-                            }
-                            let p = current[&y1].partition.product_with_budget(
-                                &current[&y2].partition,
-                                &mut scratch,
-                                budget,
-                            )?;
-                            out.push((x, p));
-                        }
-                        Ok(out)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    // Re-raise worker panics on the caller's thread.
-                    h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-                })
-                .collect()
-        });
-    let mut out = Vec::with_capacity(cands.len());
-    for r in results {
-        out.extend(r?);
-    }
-    Ok(out)
+        Ok(out)
+    };
+    let mut out = Vec::new();
+    let mut failed = None;
+    fd_core::parallel::map_ordered(
+        "tane_products",
+        workers,
+        fd_core::parallel::chunks(cands, workers, 1, |_| 1),
+        products_of,
+        |chunk| match chunk {
+            Ok(products) => fd_core::parallel::concat_chunk(&mut out, products),
+            Err(t) => {
+                failed.get_or_insert(t);
+            }
+        },
+    );
+    failed.map_or(Ok(out), Err)
 }
 
 impl FdAlgorithm for Tane {
@@ -474,6 +452,42 @@ mod tests {
                 Exhaustive.discover(&r),
                 "seed {seed}"
             );
+        }
+    }
+
+    #[test]
+    fn tane_is_thread_count_invariant() {
+        use fd_relation::synth::{ColumnKind, ColumnSpec, Generator};
+        // Twelve independent 32-value columns: none is constant or a key, so
+        // every single survives level 1 and level 2 generates all 66 pairs,
+        // each product scanning every row.
+        let columns = (0..12)
+            .map(|c| {
+                let kind = ColumnKind::Categorical { cardinality: 32, skew: 0.0 };
+                ColumnSpec::new(format!("c{c}"), kind)
+            })
+            .collect();
+        let r = Generator::new("wide-tane", columns, 7).generate(2048);
+        for threads in [2, 4] {
+            assert!(
+                fd_core::decide(66, r.n_rows() as u64, threads) >= 2,
+                "level 2 must fan out at threads={threads}"
+            );
+        }
+        let (expected, t) = Tane::new().with_threads(1).discover_budgeted(&r, &Budget::unlimited());
+        assert_eq!(t, Termination::Converged);
+        assert!(!expected.is_empty());
+        for threads in [2, 4] {
+            let (fds, t) =
+                Tane::new().with_threads(threads).discover_budgeted(&r, &Budget::unlimited());
+            assert_eq!(t, Termination::Converged, "threads={threads}");
+            assert_eq!(fds, expected, "threads={threads}");
+        }
+        for threads in [1, 2, 4] {
+            let budget = Budget::unlimited();
+            budget.token().cancel();
+            let (_, t) = Tane::new().with_threads(threads).discover_budgeted(&r, &budget);
+            assert_eq!(t, Termination::Cancelled, "threads={threads}");
         }
     }
 

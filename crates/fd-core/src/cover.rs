@@ -254,73 +254,53 @@ impl PCover {
         for fd in non_fds.drain(..) {
             per_rhs_work[fd.rhs as usize].push(fd.lhs);
         }
-        /// One RHS tree's work list plus its result slots. A job is only
-        /// ever processed by the single worker that claims its index, so
-        /// per-job state needs no aggregation ordering.
-        struct InvertJob<'t> {
-            rhs: AttrId,
-            tree: &'t mut LhsTree,
-            work: Vec<AttrSet>,
-            delta: InvertDelta,
-            unprocessed: Vec<AttrSet>,
-        }
-        let mut jobs: Vec<InvertJob<'_>> = Vec::new();
-        for ((rhs, tree), work) in self.per_rhs.iter_mut().enumerate().zip(per_rhs_work) {
-            if !work.is_empty() {
-                jobs.push(InvertJob {
-                    rhs: rhs as AttrId,
-                    tree,
-                    work,
-                    delta: InvertDelta::default(),
-                    unprocessed: Vec::new(),
-                });
-            }
-        }
         // Small batches invert inline: spawning threads costs more than the
         // tree surgery it would parallelize. The cutoff cannot change the
         // result, only the wall clock. One inversion walks ~1Ki tree nodes —
         // the per-item cost hint (in u32-compare-equivalent units) handed to
         // the shared adaptive policy.
+        let n_jobs = per_rhs_work.iter().filter(|work| !work.is_empty()).count();
         let workers = crate::parallel::decide_at(
             "parallel.workers.cover_invert",
             total,
             INVERSION_COST_UNITS,
             threads,
         )
-        .min(jobs.len().max(1));
-        let run_job = |job: &mut InvertJob<'_>| {
-            for lhs in job.work.drain(..) {
-                if token.is_some_and(|t| t.is_cancelled()) {
-                    job.unprocessed.push(lhs);
-                    continue;
-                }
-                job.delta += invert_into_tree(job.tree, n, job.rhs, &lhs);
-            }
-        };
-        if workers <= 1 {
-            for job in &mut jobs {
-                run_job(job);
-            }
-        } else {
-            // Work-stealing fan-out: each per-RHS job is one claimable
-            // chunk. Skewed RHS work lists (one hot attribute can dominate)
-            // no longer idle workers behind a fixed split; determinism holds
-            // because each tree is mutated by exactly one claimer, in the
-            // job's sorted order, regardless of which worker that is.
-            let slots: Vec<std::sync::Mutex<&mut InvertJob<'_>>> =
-                jobs.iter_mut().map(std::sync::Mutex::new).collect();
-            crate::parallel::fan_out_stealing("cover_invert", slots.len(), workers, |i| {
-                let mut job = slots[i].lock().unwrap_or_else(|e| e.into_inner());
-                run_job(&mut job);
-            });
-        }
-        // Aggregate in job (= RHS) order, never completion order, so the
-        // leftovers pushed back into `non_fds` are schedule-invariant.
+        .min(n_jobs.max(1));
+        // One job per RHS tree with work. A non-FD only touches its own
+        // RHS tree, and each job processes its list in the sorted order, so
+        // the trees end up the same whichever worker claims which job.
+        // Deltas and cancelled leftovers fold in job (= RHS) order, never
+        // completion order, so `non_fds` is schedule-invariant too.
+        let jobs = self
+            .per_rhs
+            .iter_mut()
+            .zip(per_rhs_work)
+            .enumerate()
+            .filter(|(_, (_, work))| !work.is_empty());
         let mut delta = InvertDelta::default();
-        for job in jobs {
-            delta += job.delta;
-            non_fds.extend(job.unprocessed.into_iter().map(|lhs| Fd::new(lhs, job.rhs)));
-        }
+        crate::parallel::map_ordered(
+            "cover_invert",
+            workers,
+            jobs,
+            |(rhs, (tree, work))| {
+                let rhs = rhs as AttrId;
+                let mut job_delta = InvertDelta::default();
+                let mut unprocessed = Vec::new();
+                for lhs in work {
+                    if token.is_some_and(|t| t.is_cancelled()) {
+                        unprocessed.push(lhs);
+                        continue;
+                    }
+                    job_delta += invert_into_tree(tree, n, rhs, &lhs);
+                }
+                (rhs, job_delta, unprocessed)
+            },
+            |(rhs, job_delta, unprocessed)| {
+                delta += job_delta;
+                non_fds.extend(unprocessed.into_iter().map(|lhs| Fd::new(lhs, rhs)));
+            },
+        );
         self.len = self.len + delta.added - delta.removed;
         delta
     }

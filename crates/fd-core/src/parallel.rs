@@ -1,4 +1,5 @@
-//! Adaptive parallelism policy shared by every data-parallel kernel.
+//! Adaptive parallelism policy and the one fan-out shared by every
+//! data-parallel kernel.
 //!
 //! Each kernel used to carry its own hard-coded engagement threshold
 //! (`MIN_PAIRS_PER_WORKER`, `MIN_INVERSIONS_PARALLEL`, …) and trust the
@@ -20,12 +21,35 @@
 //! drive the parallel code paths on any host. All machine awareness lives in
 //! [`clamp_threads`], which is applied once at the configuration boundary.
 //!
-//! Once `decide` has chosen a worker count, [`fan_out_stealing`] runs the
-//! batch: the work is split into more chunks than workers and an atomic
-//! cursor hands chunks out on demand, so a worker that drew cheap chunks
-//! steals the next index instead of idling behind a fixed `div_ceil` split.
-//! Each chunk owns a pre-assigned output slot, which is what makes the
-//! schedule's nondeterminism invisible to callers — see the function docs.
+//! Once `decide` has chosen a worker count, [`map_ordered`] runs the batch.
+//! It is the one fan-out every kernel goes through, and it owns the whole
+//! split–run–merge decision:
+//!
+//! * **inline cutoff** — with one worker the items are mapped on the
+//!   caller's thread, straight into the caller's fold: no claim cursor, no
+//!   slot, no allocation, no `parallel.worker` fault site;
+//! * **slots** — otherwise each item is parked in its own slot (the only
+//!   per-chunk slots in the workspace) and claimed through
+//!   [`fan_out_stealing`]'s atomic cursor, so a worker that drew cheap
+//!   chunks steals the next index instead of idling behind a fixed
+//!   `div_ceil` split;
+//! * **order** — results reach the caller's fold in item order, never
+//!   completion order, which is what makes the schedule's nondeterminism
+//!   invisible to callers;
+//! * **panics** — a worker panic is re-raised on the caller's thread before
+//!   the fold sees any result.
+//!
+//! [`chunks`] cuts a slice into the items a fan-out claims: the whole slice
+//! when the batch runs inline, otherwise about [`STEAL_CHUNKS_PER_WORKER`]
+//! chunks of equal weight per worker, none lighter than the site's minimum.
+//!
+//! | site                | kernel                                | item                |
+//! |---------------------|---------------------------------------|---------------------|
+//! | `pair_compare`      | `RowMajor` batch compares             | ≥ 1024 tuple pairs  |
+//! | `sampling_clusters` | `sampling_clusters_parallel`          | one attribute       |
+//! | `cover_invert`      | `PCover::invert_batch*`               | one RHS tree's work |
+//! | `tane_products`     | Tane's per-level `generate_products`  | candidate chunk     |
+//! | `agree_sets`        | `AgreeSetCollector::collect_budgeted` | cluster chunk       |
 //!
 //! ## Cost-hint units
 //!
@@ -47,6 +71,7 @@
 //! engage parallelism a little early, which the per-worker quantum absorbs.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// Minimum work units per worker before spawning is worth it.
@@ -129,7 +154,8 @@ pub fn decide_at(
     workers
 }
 
-/// Counters of one [`fan_out_stealing`] call, summed over its workers.
+/// Counters of one fan-out ([`map_ordered`] or [`fan_out_stealing`]),
+/// summed over its workers.
 ///
 /// All fields are *diagnostics*: which worker claims which chunk depends on
 /// scheduling, so `steals` varies run to run. Nothing downstream of a
@@ -147,23 +173,14 @@ pub struct StealStats {
     pub workers: usize,
 }
 
-/// How many chunks a work-stealing fan-out should split `items` into:
-/// [`STEAL_CHUNKS_PER_WORKER`] per worker, but never chunks smaller than
-/// `min_items_per_chunk` (claim and slot overhead must stay amortized) and
-/// never more chunks than items.
-pub fn steal_chunk_count(items: usize, workers: usize, min_items_per_chunk: usize) -> usize {
-    if items == 0 {
-        return 0;
-    }
-    let by_min = items.div_ceil(min_items_per_chunk.max(1));
-    (workers * STEAL_CHUNKS_PER_WORKER).min(by_min).min(items).max(1)
-}
-
 /// Runs `run_chunk(i)` for every `i in 0..n_chunks` on up to `workers`
 /// scoped threads, with chunk indices handed out by an atomic claim cursor:
 /// a worker finishing its chunk immediately steals the next unclaimed index,
 /// so skewed per-chunk costs no longer idle workers the way a fixed
 /// `div_ceil` split did.
+///
+/// This is the claim loop under [`map_ordered`], which supplies the
+/// per-chunk slots; kernels call `map_ordered`, never this directly.
 ///
 /// **Determinism contract:** every chunk index is claimed exactly once, and
 /// `run_chunk` must write only to state owned by its chunk index (a
@@ -260,6 +277,117 @@ where
     stats
 }
 
+/// The ordered map every data-parallel kernel runs through: `work` maps
+/// each of `items` to a result, and `take` receives the results **in item
+/// order** on the caller's thread.
+///
+/// With `workers <= 1` each item is mapped inline, one after another,
+/// straight into `take` — no claim cursor, no slot, no allocation and no
+/// `parallel.worker` fault site, so the one-worker path costs what a plain
+/// sequential loop costs. Otherwise every item is parked in its own
+/// slot, the slots are claimed through [`fan_out_stealing`] on up to
+/// `workers` threads (telemetry under `site`), and after the join the
+/// results are handed to `take` in slot order. Because `take` never sees
+/// completion order, a caller whose fold is a function of the item
+/// sequence gets the same answer for every worker count and schedule. A
+/// panic in `work` is re-raised here before `take` sees any result.
+pub fn map_ordered<T, R>(
+    site: &str,
+    workers: usize,
+    items: impl IntoIterator<Item = T>,
+    work: impl Fn(T) -> R + Sync,
+    mut take: impl FnMut(R),
+) -> StealStats
+where
+    T: Send,
+    R: Send,
+{
+    if workers <= 1 {
+        let mut chunks_claimed = 0;
+        for item in items {
+            take(work(item));
+            chunks_claimed += 1;
+        }
+        return StealStats { chunks_claimed, steals: 0, workers: 1 };
+    }
+    enum Slot<T, R> {
+        Todo(T),
+        Done(R),
+        Claimed,
+    }
+    let slots: Vec<Mutex<Slot<T, R>>> =
+        items.into_iter().map(|item| Mutex::new(Slot::Todo(item))).collect();
+    let stats = fan_out_stealing(site, slots.len(), workers, |i| {
+        // Each index is claimed exactly once, so the lock is uncontended;
+        // it only makes the slot `Sync`. A panic in `work` leaves the slot
+        // `Claimed` (a valid state) and is re-raised before the fold below.
+        let mut slot = slots[i].lock().unwrap_or_else(PoisonError::into_inner);
+        if let Slot::Todo(item) = std::mem::replace(&mut *slot, Slot::Claimed) {
+            *slot = Slot::Done(work(item));
+        }
+    });
+    for slot in slots {
+        if let Slot::Done(result) = slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
+            take(result);
+        }
+    }
+    stats
+}
+
+/// Cuts `items` into the contiguous chunks a [`map_ordered`] over `workers`
+/// should claim. An inline batch (`workers <= 1`) is one chunk. Otherwise
+/// chunks aim at an equal share of the total `weight`, about
+/// [`STEAL_CHUNKS_PER_WORKER`] per worker, and never weigh less than
+/// `min_weight` (claim and slot overhead must stay amortized) unless the
+/// items run out. An item heavier than the share closes its chunk by
+/// itself, so skewed items — a few giant clusters — land in separate
+/// claimable chunks. An empty slice yields no chunk.
+pub fn chunks<T>(
+    items: &[T],
+    workers: usize,
+    min_weight: u64,
+    weight: impl Fn(&T) -> u64,
+) -> impl Iterator<Item = &[T]> {
+    let share = if workers <= 1 {
+        None
+    } else {
+        let total: u64 = items.iter().map(&weight).sum();
+        let n_chunks = (workers * STEAL_CHUNKS_PER_WORKER) as u64;
+        Some(total.div_ceil(n_chunks).max(min_weight))
+    };
+    let mut rest = items;
+    std::iter::from_fn(move || {
+        if rest.is_empty() {
+            return None;
+        }
+        let mut end = rest.len();
+        if let Some(share) = share {
+            let mut acc = 0u64;
+            end = rest
+                .iter()
+                .position(|item| {
+                    acc += weight(item);
+                    acc >= share
+                })
+                .map_or(rest.len(), |last| last + 1);
+        }
+        let (chunk, tail) = rest.split_at(end);
+        rest = tail;
+        Some(chunk)
+    })
+}
+
+/// Appends one chunk's output to a result being assembled in chunk order.
+/// The first chunk is moved rather than copied, so a one-chunk (inline)
+/// batch builds its result without a second buffer.
+pub fn concat_chunk<T>(out: &mut Vec<T>, chunk: Vec<T>) {
+    if out.is_empty() {
+        *out = chunk;
+    } else {
+        out.extend(chunk);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,19 +458,6 @@ mod tests {
     }
 
     #[test]
-    fn steal_chunk_count_bounds() {
-        assert_eq!(steal_chunk_count(0, 4, 256), 0);
-        // 4 chunks per worker when items allow.
-        assert_eq!(steal_chunk_count(100_000, 4, 256), 16);
-        // Capped by the minimum chunk size...
-        assert_eq!(steal_chunk_count(1_000, 4, 256), 4);
-        assert_eq!(steal_chunk_count(300, 8, 256), 2);
-        // ...and never more chunks than items.
-        assert_eq!(steal_chunk_count(3, 8, 1), 3);
-        assert_eq!(steal_chunk_count(1, 8, 256), 1);
-    }
-
-    #[test]
     fn stealing_claims_every_chunk_exactly_once() {
         use std::sync::atomic::AtomicU32;
         for workers in [1usize, 2, 3, 8] {
@@ -389,6 +504,94 @@ mod tests {
         let payload = result.expect_err("panic must propagate");
         let msg = payload.downcast_ref::<&str>().copied().unwrap_or("");
         assert!(msg.contains("chunk 5 exploded"), "original panic message lost: {msg:?}");
+    }
+
+    #[test]
+    fn map_ordered_folds_in_item_order_for_any_worker_count() {
+        let items: Vec<u64> = (0..37).collect();
+        let sequential: Vec<u64> = items.iter().map(|i| i * i + 1).collect();
+        for workers in [1usize, 2, 3, 4, 8] {
+            let mut got = Vec::new();
+            let stats =
+                map_ordered("test.ordered", workers, items.iter(), |&i| i * i + 1, |r| got.push(r));
+            assert_eq!(got, sequential, "workers={workers}");
+            assert_eq!(stats.chunks_claimed, items.len() as u64);
+            assert!(stats.workers >= 1 && stats.workers <= workers);
+        }
+    }
+
+    #[test]
+    fn map_ordered_runs_one_worker_inline() {
+        let caller = std::thread::current().id();
+        let stats = map_ordered(
+            "test.inline",
+            1,
+            0..5,
+            |_| std::thread::current().id(),
+            |id| assert_eq!(id, caller, "the one-worker path must not spawn"),
+        );
+        assert_eq!(stats, StealStats { chunks_claimed: 5, steals: 0, workers: 1 });
+    }
+
+    #[test]
+    fn map_ordered_propagates_worker_panics_before_folding() {
+        let mut folded = 0;
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            map_ordered(
+                "test.ordered_panic",
+                2,
+                0..8,
+                |i| {
+                    if i == 5 {
+                        panic!("item 5 exploded");
+                    }
+                },
+                |()| folded += 1,
+            );
+        }));
+        assert!(result.is_err(), "panic must propagate");
+        assert_eq!(folded, 0, "no result may be folded from a panicked fan-out");
+    }
+
+    #[test]
+    fn chunks_cover_the_slice_in_order() {
+        let items: Vec<u32> = (0..1000).collect();
+        let count = |workers, min| chunks(&items, workers, min, |_| 1).count();
+        assert_eq!(count(1, 256), 1, "inline batches are one chunk");
+        // 4 chunks per worker when the minimum allows...
+        assert_eq!(count(4, 1), 16);
+        // ...never lighter than the minimum.
+        assert_eq!(count(2, 256), 4);
+        assert_eq!(count(8, 600), 2);
+        for workers in [1usize, 2, 3, 8] {
+            let joined: Vec<u32> = chunks(&items, workers, 7, |_| 1).flatten().copied().collect();
+            assert_eq!(joined, items, "workers={workers}");
+        }
+        assert_eq!(chunks::<u32>(&[], 1, 256, |_| 1).count(), 0);
+        assert_eq!(chunks::<u32>(&[], 4, 256, |_| 1).count(), 0);
+    }
+
+    #[test]
+    fn chunks_balance_by_weight() {
+        // Three giant items up front, then many light ones: each giant
+        // closes a chunk of its own instead of piling into the first chunk.
+        let items: Vec<u64> = [1_000, 1_000, 1_000].into_iter().chain([1; 900]).collect();
+        let cut: Vec<&[u64]> = chunks(&items, 2, 1, |&w| w).collect();
+        assert_eq!(&cut[..3], &[&[1_000][..], &[1_000][..], &[1_000][..]]);
+        assert_eq!(cut.iter().map(|c| c.len()).sum::<usize>(), items.len());
+        let share = items.iter().sum::<u64>().div_ceil(8);
+        assert!(cut.iter().all(|c| c.iter().sum::<u64>() <= share + 1_000));
+    }
+
+    #[test]
+    fn concat_chunk_moves_the_first_chunk() {
+        let first = vec![1, 2, 3];
+        let ptr = first.as_ptr();
+        let mut out = Vec::new();
+        concat_chunk(&mut out, first);
+        assert_eq!(out.as_ptr(), ptr, "the first chunk must be moved, not copied");
+        concat_chunk(&mut out, vec![4]);
+        assert_eq!(out, [1, 2, 3, 4]);
     }
 
     #[test]

@@ -27,7 +27,6 @@
 
 use crate::relation::{Relation, RowId};
 use fd_core::{AttrId, Budget, FastHashSet, Termination};
-use std::sync::OnceLock;
 
 /// Budget polling stride inside the partition product, matching the
 /// `POLL_STRIDE` convention of the budgeted Tane traversal: the clock and
@@ -444,12 +443,12 @@ pub fn sampling_clusters(relation: &Relation) -> Vec<Vec<RowId>> {
 }
 
 /// [`sampling_clusters`] with the per-attribute partitioning pass fanned out
-/// over [`fd_core::parallel::fan_out_stealing`], one chunk per attribute.
-/// The worker count is chosen by the adaptive policy
-/// [`fd_core::parallel::decide`] — small relations take the sequential path
-/// outright. Each chunk fills its attribute's own slot and deduplication
-/// runs sequentially in attribute order afterwards, so the result is
-/// identical for every thread count.
+/// over [`fd_core::parallel::map_ordered`], one item per attribute. The
+/// worker count is chosen by the adaptive policy
+/// [`fd_core::parallel::decide`] — small relations run inline. The stripped
+/// partitions come back in attribute order and deduplication runs
+/// sequentially over them, so the result is identical for every thread
+/// count.
 pub fn sampling_clusters_parallel(relation: &Relation, threads: usize) -> Vec<Vec<RowId>> {
     let n_attrs = relation.n_attrs();
     // Cost hint (per-item, u32-compare-equivalent units): one partitioning
@@ -460,21 +459,14 @@ pub fn sampling_clusters_parallel(relation: &Relation, threads: usize) -> Vec<Ve
         relation.n_rows() as u64,
         threads,
     );
-    let stripped: Vec<Partition> = if workers <= 1 {
-        (0..n_attrs)
-            .map(|a| Partition::of_column(relation, a as AttrId).stripped())
-            .collect()
-    } else {
-        let slots: Vec<OnceLock<Partition>> = (0..n_attrs).map(|_| OnceLock::new()).collect();
-        fd_core::parallel::fan_out_stealing("sampling_clusters", n_attrs, workers, |a| {
-            let _ = slots[a].set(Partition::of_column(relation, a as AttrId).stripped());
-        });
-        // fan_out_stealing runs every chunk exactly once (or re-raises a
-        // worker's panic), so every slot is filled.
-        let filled: Vec<Partition> = slots.into_iter().filter_map(OnceLock::into_inner).collect();
-        debug_assert_eq!(filled.len(), n_attrs);
-        filled
-    };
+    let mut stripped = Vec::with_capacity(n_attrs);
+    fd_core::parallel::map_ordered(
+        "sampling_clusters",
+        workers,
+        0..n_attrs as AttrId,
+        |a| Partition::of_column(relation, a).stripped(),
+        |partition| stripped.push(partition),
+    );
     dedup_clusters(stripped.iter())
 }
 

@@ -10,7 +10,6 @@
 
 use crate::delta::{ColumnDictionaries, RowDelta};
 use fd_core::{AttrId, AttrSet, FastHashMap, FastHashSet, ATTR_WORDS, MAX_ATTRS};
-use std::sync::Mutex;
 
 /// Identifier of a row (tuple) within a relation.
 pub type RowId = u32;
@@ -328,26 +327,18 @@ impl Relation {
     }
 }
 
-/// Per-batch counters of the pair-comparison kernel. Each worker thread
-/// accumulates its own copy on the stack — no shared atomics on the hot
-/// path — and the copies are summed at the `thread::scope` join barrier.
+/// Per-batch counters of the pair-comparison kernel, derived from the
+/// batch and its ordered result after the fan-out returns — workers share
+/// no counters on the hot path.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BatchStats {
     /// Tuple pairs whose agree sets were computed.
     pub pairs_compared: u64,
-    /// Agree sets that survived the worker-side novelty filter (not yet in
-    /// the caller's seen-set, first occurrence within the worker's chunk).
+    /// Agree sets that survived the chunk-side novelty filter (not yet in
+    /// the caller's seen-set, first occurrence within their pair chunk).
     pub candidates: u64,
     /// Worker threads that participated (1 = the batch ran inline).
     pub workers: usize,
-}
-
-impl std::ops::AddAssign for BatchStats {
-    fn add_assign(&mut self, rhs: Self) {
-        self.pairs_compared += rhs.pairs_compared;
-        self.candidates += rhs.candidates;
-        self.workers += rhs.workers;
-    }
 }
 
 /// A row-major packed mirror of a [`Relation`].
@@ -358,8 +349,9 @@ impl std::ops::AddAssign for BatchStats {
 /// contiguously (`data[t * width ..][..width]`), so an agree set is a linear
 /// scan of two short `u32` slices — the layout the sampling loop, which
 /// dominates EulerFD's runtime, actually wants. Batched comparison fans the
-/// pair list out across scoped worker threads; results always come back in
-/// pair order, so downstream folds are deterministic for any thread count.
+/// pair list out through [`fd_core::parallel::map_ordered`]; results always
+/// come back in pair order, so downstream folds are deterministic for any
+/// thread count.
 #[derive(Clone, Debug)]
 pub struct RowMajor {
     /// `data[t * width + a]` is the label of tuple `t` on attribute `a`.
@@ -396,44 +388,27 @@ impl RowMajor {
     }
 
     /// Agree sets of every pair in `pairs`, in pair order, computed on up to
-    /// `threads` scoped worker threads with work-stealing chunk claiming.
+    /// `threads` worker threads with work-stealing chunk claiming.
     pub fn agree_sets_batch(&self, pairs: &[(RowId, RowId)], threads: usize) -> Vec<AttrSet> {
         let workers = self.plan_workers(pairs.len(), threads);
-        if workers <= 1 {
-            // Single-threaded path builds its output directly — no upfront
-            // zero-fill of a vec that would be overwritten slot by slot.
-            return pairs.iter().map(|&(t, u)| self.agree_set(t, u)).collect();
-        }
-        // Parallel path: one allocation, handed out to workers as disjoint
-        // chunk slices. Slots are pre-assigned by chunk index, so results
-        // land in pair order no matter which worker claims which chunk.
-        let mut out = vec![AttrSet::empty(); pairs.len()];
-        let n_chunks =
-            fd_core::parallel::steal_chunk_count(pairs.len(), workers, MIN_PAIRS_PER_CHUNK);
-        let chunk = pairs.len().div_ceil(n_chunks);
-        type PairSlot<'s> = Mutex<(&'s [(RowId, RowId)], &'s mut [AttrSet])>;
-        let slots: Vec<PairSlot<'_>> = pairs
-            .chunks(chunk)
-            .zip(out.chunks_mut(chunk))
-            .map(Mutex::new)
-            .collect();
-        fd_core::parallel::fan_out_stealing("pair_compare", slots.len(), workers, |i| {
-            let mut slot = slots[i].lock().unwrap_or_else(|e| e.into_inner());
-            let (pair_chunk, out_chunk) = &mut *slot;
-            for (dst, &(t, u)) in out_chunk.iter_mut().zip(pair_chunk.iter()) {
-                *dst = self.agree_set(t, u);
-            }
-        });
+        let mut out = Vec::new();
+        fd_core::parallel::map_ordered(
+            "pair_compare",
+            workers,
+            fd_core::parallel::chunks(pairs, workers, MIN_PAIRS_PER_CHUNK, |_| 1),
+            |chunk| chunk.iter().map(|&(t, u)| self.agree_set(t, u)).collect(),
+            |agree| fd_core::parallel::concat_chunk(&mut out, agree),
+        );
         out
     }
 
     /// The comparison kernel of the sampling module: computes the agree set
     /// of every pair and keeps only *novel* ones — not present in `seen`
     /// (a read-only snapshot of the caller's dedup set) and not repeated
-    /// within the worker's own chunk.
+    /// within the pair chunk that produced it.
     ///
-    /// The returned sets preserve pair order (worker chunks are concatenated
-    /// in plan order, never completion order). A set straddling two chunks
+    /// The returned sets preserve pair order (chunks are concatenated in
+    /// plan order, never completion order). A set straddling two chunks
     /// may appear once per chunk; the caller's sequential fold deduplicates
     /// across chunks, so the *folded* outcome is byte-identical for every
     /// thread count.
@@ -444,49 +419,23 @@ impl RowMajor {
         threads: usize,
     ) -> (Vec<AttrSet>, BatchStats) {
         let workers = self.plan_workers(pairs.len(), threads);
-        if workers <= 1 {
-            let novel = self.novel_chunk(pairs, seen);
-            let stats = BatchStats {
-                pairs_compared: pairs.len() as u64,
-                candidates: novel.len() as u64,
-                workers: 1,
-            };
-            return (novel, stats);
-        }
-        // Work-stealing fan-out: each chunk's novelty scan lands in a slot
-        // indexed by chunk position. Concatenating slots in chunk (= plan)
-        // order afterwards means the fold downstream never observes
-        // completion order, only pair order.
-        let n_chunks =
-            fd_core::parallel::steal_chunk_count(pairs.len(), workers, MIN_PAIRS_PER_CHUNK);
-        let chunk = pairs.len().div_ceil(n_chunks);
-        let slots: Vec<Mutex<Vec<AttrSet>>> =
-            (0..n_chunks).map(|_| Mutex::new(Vec::new())).collect();
-        let pair_chunks: Vec<&[(RowId, RowId)]> = pairs.chunks(chunk).collect();
-        let steal = fd_core::parallel::fan_out_stealing(
+        let mut out = Vec::new();
+        let steal = fd_core::parallel::map_ordered(
             "pair_compare",
-            pair_chunks.len(),
             workers,
-            |i| {
-                let novel = self.novel_chunk(pair_chunks[i], seen);
-                *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = novel;
-            },
+            fd_core::parallel::chunks(pairs, workers, MIN_PAIRS_PER_CHUNK, |_| 1),
+            |chunk| self.novel_chunk(chunk, seen),
+            |novel| fd_core::parallel::concat_chunk(&mut out, novel),
         );
-        let mut stats = BatchStats {
+        let stats = BatchStats {
             pairs_compared: pairs.len() as u64,
-            candidates: 0,
+            candidates: out.len() as u64,
             workers: steal.workers,
         };
-        let mut out: Vec<AttrSet> = Vec::new();
-        for slot in slots {
-            let novel = slot.into_inner().unwrap_or_else(|e| e.into_inner());
-            stats.candidates += novel.len() as u64;
-            out.extend(novel);
-        }
         (out, stats)
     }
 
-    /// One worker's share of [`RowMajor::novel_agree_sets`].
+    /// One chunk's share of [`RowMajor::novel_agree_sets`].
     fn novel_chunk(&self, pairs: &[(RowId, RowId)], seen: &FastHashSet<AttrSet>) -> Vec<AttrSet> {
         let mut local: FastHashSet<AttrSet> = FastHashSet::default();
         let mut out = Vec::new();
@@ -512,7 +461,7 @@ impl RowMajor {
 
 /// Fewest pairs worth a claimable chunk of their own: below this, the
 /// atomic-cursor claim round-trip rivals the comparison work itself.
-const MIN_PAIRS_PER_CHUNK: usize = 1024;
+const MIN_PAIRS_PER_CHUNK: u64 = 1024;
 
 /// Linear-scan agree set of two packed rows — the scalar reference kernel.
 ///

@@ -13,8 +13,7 @@
 //!    [`is_enabled`] is a `const`-foldable `false`. Every macro below
 //!    checks it first, so `counter!`/`observe!`/`span!`/`event!` bodies are
 //!    dead code the optimizer deletes: no atomics, no clock reads, no
-//!    allocation, no registry. ([`phase_span!`] is the deliberate
-//!    exception — see below.)
+//!    allocation, no registry.
 //! 2. **Run time** — with the feature on, [`is_enabled`] reads a relaxed
 //!    `AtomicBool` that defaults to **off** and is flipped by
 //!    [`set_enabled`]. This lets one feature-on binary (e.g. the traced
@@ -46,11 +45,6 @@
 //! let snap = fd_telemetry::snapshot();
 //! assert_eq!(snap.version, fd_telemetry::SNAPSHOT_VERSION);
 //! ```
-//!
-//! [`phase_span!`] is always-on by design: it accumulates elapsed seconds
-//! into a caller-owned `f64` (the driver's `EulerFdReport` phase fields must
-//! keep working in untelemetered builds) and only the *histogram* side of it
-//! is gated.
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
@@ -70,7 +64,7 @@ pub use snapshot::{
     json_string, prom_name, EventSnapshot, HistogramSnapshot, TelemetrySnapshot, SCHEMA,
     SNAPSHOT_VERSION,
 };
-pub use span::{current_span, span_depth, PhaseSpan, SpanGuard};
+pub use span::{current_span, span_depth, SpanGuard};
 pub use trace::{
     trace_active, trace_begin, trace_end, SpanRecord, TraceTree, DEFAULT_TRACE_CAP,
 };
@@ -181,22 +175,6 @@ macro_rules! span {
     ($name:literal) => {{
         static SITE: $crate::HistogramSite = $crate::HistogramSite::new();
         $crate::SpanGuard::enter($name, &SITE)
-    }};
-}
-
-/// Starts an **always-on** phase timer that adds elapsed seconds to an
-/// `f64` when the guard drops, and also records `span.<name>.ns` when
-/// telemetry is enabled:
-/// `let _p = phase_span!("euler.phase.sample", report.phase_sample_s);`.
-///
-/// This is the replacement for hand-rolled `Instant` phase accumulation:
-/// the `f64` side works in every build, so report fields stay populated
-/// with the feature off.
-#[macro_export]
-macro_rules! phase_span {
-    ($name:literal, $acc:expr) => {{
-        static SITE: $crate::HistogramSite = $crate::HistogramSite::new();
-        $crate::PhaseSpan::enter($name, &SITE, &mut $acc)
     }};
 }
 

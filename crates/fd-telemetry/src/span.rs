@@ -1,17 +1,11 @@
 //! Lightweight spans: RAII duration recording with a thread-local span
-//! stack, plus the always-on [`PhaseSpan`] phase timer.
+//! stack.
 //!
 //! A span records its wall-clock duration (nanoseconds) into a histogram
 //! named `span.<name>.ns` when it drops. Spans nest: each thread keeps a
 //! stack of active span names, so [`span_depth`] and [`current_span`] can
 //! attribute nested work (the snapshot records durations per span name; the
 //! stack exists so emitters can tag events with their enclosing span).
-//!
-//! [`PhaseSpan`] is the exception to "compiles to nothing": it *always*
-//! accumulates elapsed seconds into a caller-owned `f64` (it replaces the
-//! hand-rolled `Instant` plumbing the driver used for its report fields,
-//! which must work with telemetry compiled out), and additionally records
-//! the span histogram when telemetry is enabled.
 
 use crate::registry::HistogramSite;
 use crate::is_enabled;
@@ -81,76 +75,9 @@ impl Drop for SpanGuard {
     }
 }
 
-/// An always-on phase timer: accumulates elapsed seconds into a borrowed
-/// `f64` on drop, and records the `span.<name>.ns` histogram when telemetry
-/// is enabled. Produced by [`crate::phase_span!`].
-///
-/// This deliberately does **not** compile to nothing with the feature off:
-/// report fields like `EulerFdReport::phase_sample_s` must keep working in
-/// untelemetered builds, and one `Instant` pair per phase is exactly what
-/// the manual timing it replaced cost.
-pub struct PhaseSpan<'a> {
-    start: Instant,
-    acc: &'a mut f64,
-    name: &'static str,
-    site: &'static HistogramSite,
-    trace_slot: Option<u32>,
-}
-
-impl<'a> PhaseSpan<'a> {
-    /// Starts a phase timer accumulating into `acc`.
-    #[inline]
-    pub fn enter(name: &'static str, site: &'static HistogramSite, acc: &'a mut f64) -> Self {
-        let trace_slot = if is_enabled() {
-            SPAN_STACK.with(|s| s.borrow_mut().push(name));
-            crate::trace::trace_enter(name)
-        } else {
-            None
-        };
-        PhaseSpan { start: Instant::now(), acc, name, site, trace_slot }
-    }
-}
-
-impl Drop for PhaseSpan<'_> {
-    fn drop(&mut self) {
-        let elapsed = self.start.elapsed();
-        *self.acc += elapsed.as_secs_f64();
-        if is_enabled() {
-            SPAN_STACK.with(|s| {
-                let mut stack = s.borrow_mut();
-                if stack.last() == Some(&self.name) {
-                    stack.pop();
-                }
-            });
-            let nanos = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-            let name = self.name;
-            self.site.observe_keyed(|| format!("span.{name}.ns"), nanos);
-            if let Some(slot) = self.trace_slot {
-                crate::trace::trace_exit(slot);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn phase_span_accumulates_regardless_of_feature() {
-        static SITE: HistogramSite = HistogramSite::new();
-        let mut acc = 0.0f64;
-        {
-            let _p = PhaseSpan::enter("test.phase", &SITE, &mut acc);
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        assert!(acc >= 0.002, "accumulated {acc}");
-        let before = acc;
-        {
-            let _p = PhaseSpan::enter("test.phase", &SITE, &mut acc);
-        }
-        assert!(acc >= before, "accumulation is additive");
-    }
 
     #[cfg(feature = "telemetry")]
     #[test]

@@ -3,8 +3,8 @@
 //!
 //! A trace is opened on the thread that will execute a job with
 //! [`trace_begin`] and closed with [`trace_end`], which returns the
-//! collected [`TraceTree`]. While a trace is open, every [`crate::span!`] /
-//! [`crate::phase_span!`] guard entered **on that thread** also appends a
+//! collected [`TraceTree`]. While a trace is open, every [`crate::span!`]
+//! guard entered **on that thread** also appends a
 //! [`SpanRecord`]: the parent edge comes from the innermost still-open
 //! traced span, start offsets are relative to `trace_begin`, and wall times
 //! are filled in when the guard drops. Spans opened on other threads (the
@@ -28,7 +28,7 @@ pub const DEFAULT_TRACE_CAP: usize = 4096;
 /// One completed (or still-open, if the trace ended early) span in a trace.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SpanRecord {
-    /// Span name as passed to `span!`/`phase_span!`.
+    /// Span name as passed to `span!`.
     pub name: &'static str,
     /// Index of the parent span within the trace, `None` for roots.
     pub parent: Option<u32>,
@@ -124,7 +124,7 @@ pub fn trace_active() -> bool {
 
 /// Records a span entry if a trace is open on this thread. Returns the slot
 /// to pass to [`trace_exit`] from the guard's drop. Called by
-/// [`crate::SpanGuard`]/[`crate::PhaseSpan`].
+/// [`crate::SpanGuard`].
 pub(crate) fn trace_enter(name: &'static str) -> Option<u32> {
     COLLECTOR.with(|c| {
         let mut slot = c.borrow_mut();

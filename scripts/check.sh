@@ -53,6 +53,11 @@ cargo test -q -p fd-relation --test proptests
 cargo test -q -p fd-relation --test proptests packed_kernel_matches_scalar_reference
 cargo test -q -p fd-relation --test proptests novel_agree_sets_fold_matches_sequential_novelty_scan
 cargo test -q -p fd-core --lib parallel::
+# One-fan-out gate: every kernel runs through `parallel::map_ordered`, so the
+# agree-set budget caps must trip at every thread count and Tane must return
+# the same FD set (and honour a cancelled token) at 1, 2 and 4 threads.
+cargo test -q -p fd-baselines --lib agree::tests::cover_and_pair_caps_trip_at_every_thread_count
+cargo test -q -p fd-baselines --lib tane::tests::tane_is_thread_count_invariant
 # Inversion-equivalence gate: the one-walk blocked-extension query must match
 # one subset probe per attribute across the 64/128-attribute word
 # boundaries, and every inversion path must match the textbook per-attribute

@@ -189,9 +189,9 @@ fn worker_delays_are_invisible_in_results() {
         Schedule::Every(3),
     ));
     // Stalled workers rebalance through the claim cursor: every chunk still
-    // runs exactly once, so the summed result is schedule-invariant. (The
-    // discovery kernels bypass fan_out_stealing for tiny single-threaded
-    // work, so the site is exercised directly here.)
+    // runs exactly once, so the summed result is schedule-invariant. (At one
+    // worker every kernel runs inline through `map_ordered`, which has no
+    // fault site, so the claim loop is exercised directly here.)
     let n_chunks = 12;
     let hits = std::sync::atomic::AtomicU64::new(0);
     let stats = eulerfd_suite::core::parallel::fan_out_stealing("chaos", n_chunks, 2, |i| {
