@@ -127,6 +127,11 @@ impl DeltaEngine {
         self.pcover.to_fdset()
     }
 
+    /// Size of the current cover, `fds().len()` without materializing it.
+    pub fn fd_count(&self) -> usize {
+        self.pcover.len()
+    }
+
     /// Lifetime delta counters.
     pub fn stats(&self) -> &DeltaStats {
         &self.stats

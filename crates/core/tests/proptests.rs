@@ -199,3 +199,27 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// [`DeltaEngine::fd_count`] counts the maintained cover without
+    /// materializing it, and agrees with `fds().len()` after every wave.
+    #[test]
+    fn delta_engine_fd_count_matches_materialized_cover(scenario in delta_scenario_strategy()) {
+        use eulerfd::DeltaEngine;
+        let (relation, waves) = scenario;
+        let mut engine = DeltaEngine::new(relation, 1);
+        prop_assert_eq!(engine.fd_count(), engine.fds().len());
+        for (inserts, raw_deletes) in &waves {
+            let n = engine.relation().n_rows() as u32;
+            let deletes: Vec<u32> = if n == 0 {
+                Vec::new()
+            } else {
+                raw_deletes.iter().map(|&d| d % n).collect()
+            };
+            engine.apply_delta(inserts, &deletes);
+            prop_assert_eq!(engine.fd_count(), engine.fds().len());
+        }
+    }
+}

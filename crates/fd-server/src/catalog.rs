@@ -16,8 +16,9 @@
 //! discovery holds it only for the dataset it runs against (the PLI cache
 //! is hot shared state), so traffic on other datasets proceeds in parallel.
 
+use crate::jobs::JobOutcome;
 use eulerfd::{DeltaEngine, DeltaReport};
-use fd_core::{AttrId, FdSet};
+use fd_core::{AttrId, AttrSet, FdSet};
 use fd_relation::{
     read_csv_file_with_dictionaries, ColumnDictionaries, CsvOptions, NullLabeling, PliCache,
     Relation, RowId,
@@ -80,6 +81,15 @@ pub(crate) struct Dataset {
     engine: DeltaEngine,
     /// Pinned singles + derived partitions, delta-maintained.
     pli: PliCache,
+    /// Candidate keys of the exact cover at one version. Served only while
+    /// that version is current, so a delta needs no invalidation step.
+    keys: Option<KeysMemo>,
+}
+
+struct KeysMemo {
+    version: u64,
+    keys: Vec<AttrSet>,
+    fd_count: usize,
 }
 
 impl Dataset {
@@ -88,9 +98,31 @@ impl Dataset {
         (Arc::clone(&self.snapshot), self.version)
     }
 
+    /// The current version.
+    pub(crate) fn version(&self) -> u64 {
+        self.version
+    }
+
     /// The delta-maintained exact FD cover.
     pub(crate) fn fds(&self) -> FdSet {
         self.engine.fds()
+    }
+
+    /// The `keys` answer at the current version, if memoized.
+    pub(crate) fn memoized_keys(&self) -> Option<JobOutcome> {
+        self.keys.as_ref().filter(|m| m.version == self.version).map(|m| JobOutcome::Keys {
+            version: m.version,
+            keys: m.keys.clone(),
+            fd_count: m.fd_count,
+        })
+    }
+
+    /// Memoizes keys computed at `version`, unless the dataset has moved
+    /// past it since.
+    pub(crate) fn memoize_keys(&mut self, version: u64, keys: &[AttrSet], fd_count: usize) {
+        if version == self.version {
+            self.keys = Some(KeysMemo { version, keys: keys.to_vec(), fd_count });
+        }
     }
 
     /// Column count (stable across versions).
@@ -149,7 +181,7 @@ impl Dataset {
             version: self.version,
             rows: self.snapshot.n_rows(),
             cols: self.snapshot.n_attrs(),
-            fd_count: self.engine.fds().len(),
+            fd_count: self.engine.fd_count(),
         }
     }
 }
@@ -222,6 +254,7 @@ impl Catalog {
             dicts,
             engine,
             pli,
+            keys: None,
         };
         let info = dataset.info();
         let mut map = self.datasets.lock().unwrap_or_else(|e| e.into_inner());

@@ -8,12 +8,20 @@
 //! all credits only when no session with work has credit. A session with
 //! weight 3 therefore gets three dispatch slots per round for every one a
 //! weight-1 session gets — and an idle session costs nothing.
+//!
+//! Finished jobs are retained only until their result is collected: the
+//! owning session's `wait` claims a result and drops the record once no
+//! other waiter still holds it, and results nobody claims wait in a FIFO
+//! of at most [`FINISHED_RETAINED`] jobs. Pending and running jobs are
+//! never dropped.
 
+use crate::protocol::render_fds;
 use fd_core::{AttrId, AttrSet, CancelToken, FdSet, Termination};
 use fd_relation::RowId;
 use fd_telemetry::TelemetrySnapshot;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, Condvar, Mutex};
+use std::ops::Deref;
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// Identifier of one submitted job, unique per server.
 pub type JobId = u64;
@@ -125,6 +133,39 @@ impl Request {
     }
 }
 
+/// Unclaimed finished jobs retained at most; the oldest beyond this is
+/// dropped, and a later `wait` on it answers `unknown job N`.
+pub(crate) const FINISHED_RETAINED: usize = 256;
+
+/// A discovered FD set as the server shares it: the set plus its canonical
+/// JSON array, rendered by [`render_fds`] at most once. The result cache
+/// and every reply served from it hold the same `Arc`, so a cache hit
+/// neither copies the set nor renders it again. Derefs to the [`FdSet`].
+#[derive(Debug)]
+pub struct DiscoveredFds {
+    fds: FdSet,
+    json: OnceLock<String>,
+}
+
+impl DiscoveredFds {
+    pub(crate) fn new(fds: FdSet) -> Arc<DiscoveredFds> {
+        Arc::new(DiscoveredFds { fds, json: OnceLock::new() })
+    }
+
+    /// The canonical JSON array, byte-identical to `render_fds(self)`.
+    pub(crate) fn json(&self) -> &str {
+        self.json.get_or_init(|| render_fds(&self.fds))
+    }
+}
+
+impl Deref for DiscoveredFds {
+    type Target = FdSet;
+
+    fn deref(&self) -> &FdSet {
+        &self.fds
+    }
+}
+
 /// What a finished job produced.
 #[derive(Clone, Debug)]
 pub enum JobOutcome {
@@ -132,8 +173,8 @@ pub enum JobOutcome {
     Discovered {
         /// Dataset version the run observed.
         version: u64,
-        /// The discovered FD cover.
-        fds: FdSet,
+        /// The discovered FD cover, shared with the result cache.
+        fds: Arc<DiscoveredFds>,
         /// Why the run stopped.
         termination: Termination,
         /// True when served from the result cache.
@@ -207,6 +248,24 @@ pub(crate) struct JobRecord {
     pub(crate) request: Request,
     pub(crate) token: CancelToken,
     pub(crate) state: JobState,
+    /// Threads blocked in `Session::wait` on this job.
+    pub(crate) waiters: usize,
+    /// Set once the owning session claimed the result or the job fell out
+    /// of the unclaimed FIFO: the record goes when no waiter holds it.
+    released: bool,
+}
+
+impl JobRecord {
+    pub(crate) fn pending(session: SessionId, request: Request) -> JobRecord {
+        JobRecord {
+            session,
+            request,
+            token: CancelToken::new(),
+            state: JobState::Pending,
+            waiters: 0,
+            released: false,
+        }
+    }
 }
 
 pub(crate) struct SessionState {
@@ -221,6 +280,9 @@ pub(crate) struct SessionState {
 pub(crate) struct QueueState {
     pub(crate) sessions: BTreeMap<SessionId, SessionState>,
     pub(crate) jobs: BTreeMap<JobId, JobRecord>,
+    /// Finished jobs whose owning session has not waited on them yet,
+    /// oldest first, at most [`FINISHED_RETAINED`].
+    pub(crate) unclaimed: VecDeque<JobId>,
     pub(crate) next_job: JobId,
     pub(crate) next_session: SessionId,
     /// Session id the last dispatch went to (round-robin rotation point).
@@ -234,6 +296,7 @@ impl Default for QueueState {
         QueueState {
             sessions: BTreeMap::new(),
             jobs: BTreeMap::new(),
+            unclaimed: VecDeque::new(),
             next_job: 0,
             next_session: 0,
             last_dispatched: SessionId::MAX,
@@ -297,6 +360,52 @@ impl QueueState {
             .map(|(&id, s)| (id, s.outstanding as u64))
             .collect()
     }
+
+    /// Publishes a finished job's result and queues it as unclaimed,
+    /// releasing the oldest unclaimed job past [`FINISHED_RETAINED`].
+    pub(crate) fn finish(&mut self, job: JobId, result: Arc<JobResult>) {
+        let Some(record) = self.jobs.get_mut(&job) else { return };
+        let session = record.session;
+        record.state = JobState::Done(result);
+        if let Some(s) = self.sessions.get_mut(&session) {
+            s.outstanding = s.outstanding.saturating_sub(1);
+        }
+        self.unclaimed.push_back(job);
+        if self.unclaimed.len() > FINISHED_RETAINED {
+            if let Some(oldest) = self.unclaimed.pop_front() {
+                self.release(oldest);
+            }
+        }
+    }
+
+    /// The result of `job` if it has finished, handed to a waiter from
+    /// `session` that is no longer blocked on it. The owning session's
+    /// collection claims the result: the job leaves the unclaimed FIFO and
+    /// is dropped once no other waiter still holds it.
+    pub(crate) fn collect(&mut self, job: JobId, session: SessionId) -> Option<Arc<JobResult>> {
+        let record = self.jobs.get(&job)?;
+        let JobState::Done(result) = &record.state else { return None };
+        let result = Arc::clone(result);
+        if record.session == session {
+            if let Some(at) = self.unclaimed.iter().rposition(|&j| j == job) {
+                self.unclaimed.remove(at);
+            }
+            self.release(job);
+        } else if record.released && record.waiters == 0 {
+            self.jobs.remove(&job);
+        }
+        Some(result)
+    }
+
+    /// Marks `job` for dropping and drops it now unless a waiter holds it.
+    fn release(&mut self, job: JobId) {
+        if let Some(record) = self.jobs.get_mut(&job) {
+            record.released = true;
+            if record.waiters == 0 {
+                self.jobs.remove(&job);
+            }
+        }
+    }
 }
 
 /// The shared queue: state + condvars.
@@ -325,15 +434,7 @@ mod tests {
             let mut pending = VecDeque::new();
             for j in 0..jobs_per {
                 let job = (i * jobs_per + j) as JobId;
-                q.jobs.insert(
-                    job,
-                    JobRecord {
-                        session: id,
-                        request: Request::Keys { dataset: "d".into() },
-                        token: CancelToken::new(),
-                        state: JobState::Pending,
-                    },
-                );
+                q.jobs.insert(job, JobRecord::pending(id, Request::Keys { dataset: "d".into() }));
                 pending.push_back(job);
             }
             q.sessions.insert(
@@ -342,6 +443,37 @@ mod tests {
             );
         }
         q
+    }
+
+    fn done(job: JobId) -> Arc<JobResult> {
+        Arc::new(JobResult {
+            job,
+            outcome: JobOutcome::Validated { version: 0, holds: true },
+            telemetry: None,
+            wall: std::time::Duration::ZERO,
+        })
+    }
+
+    #[test]
+    fn a_blocked_waiter_keeps_a_claimed_or_evicted_job() {
+        let mut q = seed_queue(&[1, 1], FINISHED_RETAINED + 1);
+        // A thread of session 1 is blocked on session 0's jobs 0 and 1.
+        for job in [0, 1] {
+            q.jobs.get_mut(&job).expect("seeded").waiters = 1;
+        }
+        for job in 0..=FINISHED_RETAINED as JobId {
+            q.finish(job, done(job));
+        }
+        // Job 0 fell out of the FIFO and job 1 is claimed by its owner:
+        // both stay while the blocked thread still needs them.
+        assert!(q.collect(1, 0).is_some());
+        assert!(q.jobs.contains_key(&0) && q.jobs.contains_key(&1));
+        for job in [0, 1] {
+            q.jobs.get_mut(&job).expect("held").waiters -= 1;
+            assert!(q.collect(job, 1).is_some());
+            assert!(!q.jobs.contains_key(&job));
+        }
+        assert_eq!(q.unclaimed.len(), FINISHED_RETAINED - 1);
     }
 
     #[test]

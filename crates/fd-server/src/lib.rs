@@ -24,9 +24,12 @@
 //!   [`fd_core::CancelToken`], and per-job panic isolation
 //!   (`catch_unwind` + [`fd_core::Watchdog`], the fd-bench RunGuard path).
 //!   Converged discovery results enter a cache keyed by
-//!   `(dataset, version, config)`; applying a delta invalidates every entry
-//!   of that dataset. Each finished job carries a scoped
-//!   [`fd_telemetry::TelemetrySnapshot`] delta.
+//!   `(dataset, version, config)` as one shared [`DiscoveredFds`] that
+//!   carries its rendered JSON; applying a delta invalidates every entry
+//!   of that dataset. Candidate keys are memoized per dataset version. A
+//!   finished job is dropped once its session has waited on it, and
+//!   unclaimed results are kept only in a bounded FIFO. Each finished job
+//!   carries a scoped [`fd_telemetry::TelemetrySnapshot`] delta.
 //! * [`protocol`] — the thin line protocol behind `fdtool serve`: one
 //!   request per line over stdin/stdout or a Unix socket, one JSON object
 //!   per response line.
@@ -38,6 +41,16 @@ pub mod protocol;
 mod server;
 
 pub use catalog::{Catalog, CatalogError, DatasetInfo};
-pub use jobs::{DiscoverOptions, JobId, JobOutcome, JobResult, Request, RowsSpec};
+pub use jobs::{DiscoverOptions, DiscoveredFds, JobId, JobOutcome, JobResult, Request, RowsSpec};
 pub use metrics::{MetricsConfig, MetricsPlane, TraceEntry};
 pub use server::{Server, ServerConfig, ServerStats, Session};
+
+/// Serializes this crate's unit tests that start a server: the telemetry
+/// registry and its enable flag are process-global, so a test comparing
+/// server counters against the registry must not overlap another server's
+/// jobs.
+#[cfg(test)]
+pub(crate) fn server_test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}

@@ -14,7 +14,7 @@
 //! keys <name>
 //! delta <name> [delete=0,1,2] [insert=a|b|c;d|e|f]
 //! submit <subcommand...>         -> {"ok":true,"job":N}
-//! wait <job>
+//! wait <job>                     -> the job's result, once
 //! cancel <job>
 //! stats
 //! metrics                        -> aggregated metrics window
@@ -33,14 +33,21 @@
 //! retained") until the count is reached, the client disconnects, or the
 //! server shuts down.
 //!
+//! `wait` hands out a job's result once: the connection that submitted the
+//! job claims it by waiting, and the server then forgets the job, so a
+//! second `wait` answers `unknown job N`. A result nobody waits for is kept
+//! among a bounded number of recent unclaimed ones and then dropped too.
+//!
 //! FDs are rendered as sorted `"0,1->2"` strings (attribute ids, empty LHS
-//! renders as `"->2"`), so two responses are comparable byte-for-byte.
+//! renders as `"->2"`), so two responses are comparable byte-for-byte. A
+//! cached discovery is rendered once and the same text answers every hit.
 
 use crate::jobs::{DiscoverOptions, JobOutcome, JobResult, Request, RowsSpec};
 use crate::metrics::TraceEntry;
 use crate::server::{Server, Session};
 use fd_core::{AttrId, AttrSet, FdSet};
 use fd_telemetry::{json_string, Window};
+use std::borrow::Cow;
 use std::io::{BufRead, BufReader, Write};
 
 /// Serves the line protocol over any reader/writer pair until EOF or
@@ -142,7 +149,7 @@ pub fn handle_command(server: &Server, session: &Session, tokens: &[&str]) -> St
                 ("datasets", JsonValue::Num(datasets.len() as f64)),
                 ("queue_depth", JsonValue::Num(stats.queue_depth as f64)),
                 ("worker_busy", JsonValue::Num(stats.worker_busy as f64)),
-                ("outstanding_jobs", JsonValue::Raw(render_object(&outstanding))),
+                ("outstanding_jobs", JsonValue::Raw(render_object(&outstanding).into())),
             ])
         }
         ["metrics"] => match metrics_unavailable(server) {
@@ -270,7 +277,7 @@ fn render_result(result: &JobResult) -> String {
             fields.push(("termination", JsonValue::Str(termination.as_str().to_owned())));
             fields.push(("from_cache", JsonValue::Bool(*from_cache)));
             fields.push(("fd_count", JsonValue::Num(fds.len() as f64)));
-            fields.push(("fds", JsonValue::Raw(render_fds(fds))));
+            fields.push(("fds", JsonValue::Raw(fds.json().into())));
         }
         JobOutcome::Validated { version, holds } => {
             fields.push(("version", JsonValue::Num(*version as f64)));
@@ -286,7 +293,7 @@ fn render_result(result: &JobResult) -> String {
                 .collect();
             fields.push(("version", JsonValue::Num(*version as f64)));
             fields.push(("fd_count", JsonValue::Num(*fd_count as f64)));
-            fields.push(("keys", JsonValue::Raw(format!("[{}]", rendered.join(",")))));
+            fields.push(("keys", JsonValue::Raw(format!("[{}]", rendered.join(",")).into())));
         }
         JobOutcome::DeltaApplied { version, rows, rows_inserted, rows_deleted } => {
             fields.push(("version", JsonValue::Num(*version as f64)));
@@ -303,7 +310,7 @@ fn render_result(result: &JobResult) -> String {
     if let Some(snapshot) = &result.telemetry {
         // The snapshot serializer pretty-prints; the line protocol demands
         // exactly one line per response, so strip inter-token whitespace.
-        fields.push(("telemetry", JsonValue::Raw(compact_json(&snapshot.to_json()))));
+        fields.push(("telemetry", JsonValue::Raw(compact_json(&snapshot.to_json()).into())));
     }
     ok_object(&fields)
 }
@@ -451,9 +458,9 @@ fn render_window(window: &Window) -> String {
         ("seq", JsonValue::Num(window.seq as f64)),
         ("unix_ms", JsonValue::Num(window.unix_ms as f64)),
         ("window_ms", JsonValue::Num(window.duration.as_secs_f64() * 1e3)),
-        ("gauges", JsonValue::Raw(gauges_object(&window.gauges))),
-        ("counters", JsonValue::Raw(render_object(&counters))),
-        ("rates", JsonValue::Raw(render_object(&rates))),
+        ("gauges", JsonValue::Raw(gauges_object(&window.gauges).into())),
+        ("counters", JsonValue::Raw(render_object(&counters).into())),
+        ("rates", JsonValue::Raw(render_object(&rates).into())),
     ])
 }
 
@@ -499,11 +506,11 @@ fn render_metrics(server: &Server) -> String {
         ("seq_first", JsonValue::Num(agg.seq_first as f64)),
         ("seq_last", JsonValue::Num(agg.seq_last as f64)),
         ("span_ms", JsonValue::Num(agg.duration.as_secs_f64() * 1e3)),
-        ("gauges", JsonValue::Raw(gauges_object(&agg.gauges))),
-        ("counters", JsonValue::Raw(render_object(&counters))),
-        ("rates", JsonValue::Raw(render_object(&rates))),
-        ("quantiles", JsonValue::Raw(render_object(&quantiles))),
-        ("slow_jobs", JsonValue::Raw(format!("[{}]", slow.join(",")))),
+        ("gauges", JsonValue::Raw(gauges_object(&agg.gauges).into())),
+        ("counters", JsonValue::Raw(render_object(&counters).into())),
+        ("rates", JsonValue::Raw(render_object(&rates).into())),
+        ("quantiles", JsonValue::Raw(render_object(&quantiles).into())),
+        ("slow_jobs", JsonValue::Raw(format!("[{}]", slow.join(",")).into())),
     ])
 }
 
@@ -533,20 +540,26 @@ fn render_trace(entry: &TraceEntry) -> String {
         ("wall_ms", JsonValue::Num(entry.wall.as_secs_f64() * 1e3)),
         ("root_wall_ms", JsonValue::Num(root_wall_ms)),
         ("dropped", JsonValue::Num(entry.trace.dropped as f64)),
-        ("spans", JsonValue::Raw(format!("[{}]", spans.join(",")))),
+        ("spans", JsonValue::Raw(format!("[{}]", spans.join(",")).into())),
     ])
 }
 
-enum JsonValue {
+enum JsonValue<'a> {
     Bool(bool),
     Num(f64),
     Str(String),
     /// Pre-rendered JSON (arrays, nested objects) spliced in verbatim.
-    Raw(String),
+    Raw(Cow<'a, str>),
 }
 
 fn ok_object(fields: &[(&str, JsonValue)]) -> String {
-    let mut out = String::from("{\"ok\":true");
+    // Sized up front: a reply may splice in a large pre-rendered FD array.
+    let raw: usize = fields
+        .iter()
+        .map(|(_, v)| if let JsonValue::Raw(r) = v { r.len() } else { 0 })
+        .sum();
+    let mut out = String::with_capacity(raw + 32 * fields.len() + 16);
+    out.push_str("{\"ok\":true");
     for (key, value) in fields {
         out.push(',');
         out.push_str(&json_string(key));
@@ -591,6 +604,7 @@ mod tests {
 
     #[test]
     fn discover_line_returns_sorted_fds() {
+        let _serial = crate::server_test_lock();
         let server = tiny_server();
         let session = server.session();
         let response = handle_command(&server, &session, &["discover", "tiny"]);
@@ -603,6 +617,7 @@ mod tests {
 
     #[test]
     fn validate_and_keys_lines() {
+        let _serial = crate::server_test_lock();
         let server = tiny_server();
         let session = server.session();
         let holds = handle_command(&server, &session, &["validate", "tiny", "0", "1"]);
@@ -615,6 +630,7 @@ mod tests {
 
     #[test]
     fn submit_wait_cancel_roundtrip() {
+        let _serial = crate::server_test_lock();
         let server = tiny_server();
         let session = server.session();
         let submitted = handle_command(&server, &session, &["submit", "keys", "tiny"]);
@@ -634,6 +650,7 @@ mod tests {
 
     #[test]
     fn errors_are_json_lines() {
+        let _serial = crate::server_test_lock();
         let server = tiny_server();
         let session = server.session();
         let unknown = handle_command(&server, &session, &["discover", "nope"]);
@@ -661,7 +678,8 @@ mod tests {
     }
 
     #[test]
-    fn serve_lines_speaks_newline_json(){
+    fn serve_lines_speaks_newline_json() {
+        let _serial = crate::server_test_lock();
         let server = tiny_server();
         let input = b"keys tiny\nstats\nquit\n";
         let mut output = Vec::new();
@@ -686,8 +704,7 @@ mod tests {
     #[test]
     fn telemetry_carrying_replies_stay_single_line() {
         use crate::metrics::MetricsConfig;
-        // Sole test in this crate flipping the global telemetry flag; a
-        // shared lock becomes necessary the moment a second one appears.
+        let _serial = crate::server_test_lock();
         let server = Server::start(ServerConfig {
             metrics: Some(MetricsConfig {
                 interval: std::time::Duration::from_secs(3600),

@@ -2,13 +2,13 @@
 
 use crate::catalog::{lock, Catalog, CatalogError, DatasetInfo};
 use crate::jobs::{
-    DiscoverOptions, JobId, JobOutcome, JobQueue, JobRecord, JobResult, JobState, Request,
-    RowsSpec, SessionId, SessionState,
+    DiscoverOptions, DiscoveredFds, JobId, JobOutcome, JobQueue, JobRecord, JobResult, JobState,
+    Request, RowsSpec, SessionId, SessionState,
 };
 use crate::metrics::{MetricsConfig, MetricsPlane, TraceEntry};
 use eulerfd::EulerFd;
 use fd_core::{
-    candidate_keys, AttrSet, Budget, CancelToken, DiscoveryError, FdSet, Termination, Watchdog,
+    candidate_keys, AttrSet, Budget, CancelToken, DiscoveryError, Termination, Watchdog,
 };
 use fd_relation::CsvOptions;
 use fd_telemetry::TelemetrySnapshot;
@@ -96,20 +96,21 @@ struct StatCells {
     worker_busy: AtomicU64,
 }
 
-/// A cached converged discovery, plus the FIFO order for eviction.
+/// Converged discoveries, each shared with the replies it answers, plus
+/// the FIFO order for eviction.
 #[derive(Default)]
 struct ResultCache {
-    entries: BTreeMap<(String, u64, String), FdSet>,
+    entries: BTreeMap<(String, u64, String), Arc<DiscoveredFds>>,
     order: VecDeque<(String, u64, String)>,
     capacity: usize,
 }
 
 impl ResultCache {
-    fn get(&self, key: &(String, u64, String)) -> Option<FdSet> {
+    fn get(&self, key: &(String, u64, String)) -> Option<Arc<DiscoveredFds>> {
         self.entries.get(key).cloned()
     }
 
-    fn insert(&mut self, key: (String, u64, String), fds: FdSet) {
+    fn insert(&mut self, key: (String, u64, String), fds: Arc<DiscoveredFds>) {
         if self.entries.insert(key.clone(), fds).is_none() {
             self.order.push_back(key);
             while self.order.len() > self.capacity.max(1) {
@@ -156,15 +157,7 @@ impl Session {
         let mut state = shared.queue.state.lock().unwrap_or_else(|e| e.into_inner());
         let job = state.next_job;
         state.next_job += 1;
-        state.jobs.insert(
-            job,
-            JobRecord {
-                session: self.id,
-                request,
-                token: CancelToken::new(),
-                state: JobState::Pending,
-            },
-        );
+        state.jobs.insert(job, JobRecord::pending(self.id, request));
         if let Some(session) = state.sessions.get_mut(&self.id) {
             session.pending.push_back(job);
             session.outstanding += 1;
@@ -174,36 +167,38 @@ impl Session {
         job
     }
 
-    /// Blocks until `job` finishes and returns its result. Unknown ids (or
-    /// jobs lost to a shutdown) return a `Failed` outcome.
+    /// Blocks until `job` finishes and returns its result. Waiting on one
+    /// of this session's own jobs claims the result: the server then drops
+    /// the job, so a second `wait` answers `unknown job N` (every thread
+    /// already blocked on it still receives it). Unknown ids (or jobs lost
+    /// to a shutdown) return a `Failed` outcome.
     pub fn wait(&self, job: JobId) -> Arc<JobResult> {
         let queue = &self.shared.queue;
+        let failed = |error: String| {
+            Arc::new(JobResult {
+                job,
+                outcome: JobOutcome::Failed { error },
+                telemetry: None,
+                wall: Duration::ZERO,
+            })
+        };
         let mut state = queue.state.lock().unwrap_or_else(|e| e.into_inner());
         loop {
-            match state.jobs.get(&job) {
-                None => {
-                    return Arc::new(JobResult {
-                        job,
-                        outcome: JobOutcome::Failed { error: format!("unknown job {job}") },
-                        telemetry: None,
-                        wall: Duration::ZERO,
-                    })
-                }
-                Some(record) => {
-                    if let JobState::Done(result) = &record.state {
-                        return Arc::clone(result);
-                    }
-                    if state.shutdown {
-                        return Arc::new(JobResult {
-                            job,
-                            outcome: JobOutcome::Failed { error: "server shut down".into() },
-                            telemetry: None,
-                            wall: Duration::ZERO,
-                        });
-                    }
-                }
+            if !state.jobs.contains_key(&job) {
+                return failed(format!("unknown job {job}"));
             }
+            if let Some(result) = state.collect(job, self.id) {
+                return result;
+            }
+            if state.shutdown {
+                return failed("server shut down".into());
+            }
+            // A registered waiter keeps the record alive until it collects.
+            state.jobs.get_mut(&job).expect("checked above").waiters += 1;
             state = queue.done.wait(state).unwrap_or_else(|e| e.into_inner());
+            if let Some(record) = state.jobs.get_mut(&job) {
+                record.waiters -= 1;
+            }
         }
     }
 
@@ -460,13 +455,7 @@ fn worker_loop(shared: &Shared) {
             shared.stats.jobs_completed.fetch_add(1, Ordering::Relaxed);
             fd_telemetry::counter!("server.jobs_completed", 1);
         }
-        if let Some(record) = state.jobs.get_mut(&job) {
-            let session = record.session;
-            record.state = JobState::Done(result);
-            if let Some(s) = state.sessions.get_mut(&session) {
-                s.outstanding = s.outstanding.saturating_sub(1);
-            }
-        }
+        state.finish(job, result);
         shared.queue.done.notify_all();
     }
 }
@@ -605,10 +594,15 @@ fn run_request(shared: &Shared, request: &Request, budget: &Budget) -> JobOutcom
             };
             let (fds, version, n_attrs) = {
                 let ds = lock(&handle);
-                let (_, version) = ds.snapshot();
-                (ds.fds(), version, ds.n_attrs())
+                if let Some(memo) = ds.memoized_keys() {
+                    return memo;
+                }
+                (ds.fds(), ds.version(), ds.n_attrs())
             };
+            // Computed outside the lock; the memo is kept only if no delta
+            // moved the dataset on meanwhile.
             let keys = candidate_keys(n_attrs, &fds);
+            lock(&handle).memoize_keys(version, &keys, fds.len());
             JobOutcome::Keys { version, keys, fd_count: fds.len() }
         }
         Request::Delta { dataset, inserts, deletes } => {
@@ -693,6 +687,7 @@ fn run_discover(
     // lands mid-run via the budget's token.
     let (fds, report) = euler.discover_budgeted_cached(&snapshot, budget, ds.pli_mut());
     drop(ds);
+    let fds = DiscoveredFds::new(fds);
     match report.termination {
         // A cancelled job must leave no trace in the result cache.
         Termination::Cancelled | Termination::Panicked => {
@@ -704,9 +699,317 @@ fn run_discover(
                     .cache
                     .lock()
                     .unwrap_or_else(|e| e.into_inner())
-                    .insert(key, fds.clone());
+                    .insert(key, Arc::clone(&fds));
             }
             JobOutcome::Discovered { version, fds, termination, from_cache: false }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::jobs::FINISHED_RETAINED;
+    use crate::protocol::{handle_command, render_fds};
+    use eulerfd::{DeltaEngine, EulerFdConfig};
+    use fd_relation::synth::dataset_spec;
+    use fd_relation::Relation;
+
+    fn gen(name: &str, rows: usize) -> Relation {
+        dataset_spec(name).unwrap_or_else(|| panic!("unknown dataset {name}")).generate(rows)
+    }
+
+    fn tiny() -> Relation {
+        Relation::from_encoded_columns(
+            "tiny",
+            vec!["a".into(), "b".into(), "c".into()],
+            vec![vec![0, 1, 2, 3], vec![0, 0, 1, 1], vec![0, 1, 0, 1]],
+        )
+    }
+
+    fn discover(dataset: &str) -> Request {
+        Request::Discover { dataset: dataset.into(), options: DiscoverOptions::default() }
+    }
+
+    fn keys(dataset: &str) -> Request {
+        Request::Keys { dataset: dataset.into() }
+    }
+
+    fn job_table_len(server: &Server) -> usize {
+        server.shared.queue.state.lock().expect("queue lock").jobs.len()
+    }
+
+    fn discovered(result: &JobResult) -> &Arc<DiscoveredFds> {
+        match &result.outcome {
+            JobOutcome::Discovered { fds, .. } => fds,
+            other => panic!("expected a discovery, got {other:?}"),
+        }
+    }
+
+    fn assert_unknown(result: &JobResult, job: JobId) {
+        match &result.outcome {
+            JobOutcome::Failed { error } => assert_eq!(error, &format!("unknown job {job}")),
+            other => panic!("job {job} should be gone, got {other:?}"),
+        }
+    }
+
+    /// The job id in a `submit` reply.
+    fn submitted_job(reply: &str) -> String {
+        reply.split("\"job\":").nth(1).expect("job field").trim_end_matches('}').to_owned()
+    }
+
+    #[test]
+    fn cache_hits_share_one_rendered_result() {
+        let _serial = crate::server_test_lock();
+        let relation = gen("abalone", 300);
+        let (fds, _) = EulerFd::new().discover_budgeted(&relation, &Budget::unlimited());
+        let expected = format!("\"fds\":{}", render_fds(&fds));
+        let server = Server::start_default();
+        server.register_relation("d", relation).expect("register");
+        let session = server.session();
+
+        let miss = handle_command(&server, &session, &["discover", "d"]);
+        let hit = handle_command(&server, &session, &["discover", "d"]);
+        let job = submitted_job(&handle_command(&server, &session, &["submit", "discover", "d"]));
+        let waited = handle_command(&server, &session, &["wait", &job]);
+        for (reply, from_cache) in [(&miss, false), (&hit, true), (&waited, true)] {
+            assert!(reply.contains(&format!("\"from_cache\":{from_cache}")), "{reply}");
+            let at = reply.find(&expected).unwrap_or_else(|| panic!("fds diverged: {reply}"));
+            assert!(reply[at + expected.len()..].starts_with([',', '}']), "{reply}");
+        }
+
+        let first = session.run(discover("d"));
+        let second = session.run(discover("d"));
+        assert!(Arc::ptr_eq(discovered(&first), discovered(&second)), "a hit copied the result");
+        assert_eq!(discovered(&first).json(), render_fds(&fds));
+    }
+
+    #[test]
+    fn keys_are_memoized_per_dataset_version() {
+        let _serial = crate::server_test_lock();
+        // {a} and {b,c} are keys; the insert duplicates (b,c) = (0,0).
+        let inserts = vec![vec![4, 0, 0]];
+        let mut mutated = tiny();
+        mutated.apply_delta(&inserts, &[]);
+        let fresh = |r: &Relation| {
+            let fds = DeltaEngine::new(r.clone(), 1).fds();
+            (candidate_keys(r.n_attrs(), &fds), fds.len())
+        };
+        let (keys0, count0) = fresh(&tiny());
+        let (keys1, count1) = fresh(&mutated);
+        assert_ne!(keys0, keys1, "the delta must change the keys");
+
+        let server = Server::start_default();
+        server.register_relation("t", tiny()).expect("register");
+        let session = server.session();
+        let handle = server.shared.catalog.handle("t").expect("registered");
+        let ask = || match &session.run(keys("t")).outcome {
+            JobOutcome::Keys { version, keys, fd_count } => (*version, keys.clone(), *fd_count),
+            other => panic!("keys -> {other:?}"),
+        };
+        assert!(lock(&handle).memoized_keys().is_none());
+        assert_eq!(ask(), (0, keys0.clone(), count0));
+        assert!(lock(&handle).memoized_keys().is_some(), "keys at version 0 were not memoized");
+        assert_eq!(ask(), (0, keys0.clone(), count0));
+
+        let delta = Request::Delta {
+            dataset: "t".into(),
+            inserts: RowsSpec::Encoded(inserts),
+            deletes: vec![],
+        };
+        match &session.run(delta).outcome {
+            JobOutcome::DeltaApplied { version: 1, .. } => {}
+            other => panic!("delta -> {other:?}"),
+        }
+        // The version-0 memo is never served at version 1, and keys that
+        // were computed at version 0 but land after the delta are dropped.
+        assert!(lock(&handle).memoized_keys().is_none());
+        lock(&handle).memoize_keys(0, &keys0, count0);
+        assert!(lock(&handle).memoized_keys().is_none());
+        assert_eq!(ask(), (1, keys1.clone(), count1));
+        assert_eq!(ask(), (1, keys1, count1));
+    }
+
+    #[test]
+    fn waited_jobs_leave_the_job_table() {
+        let _serial = crate::server_test_lock();
+        let server = Server::start_default();
+        server.register_relation("t", tiny()).expect("register");
+        let session = server.session();
+        for _ in 0..10_000 {
+            session.run(keys("t"));
+        }
+        assert_eq!(job_table_len(&server), 0, "a waited job outlived its wait");
+        // `wait` hands a job's result out once.
+        let job = session.submit(keys("t"));
+        assert!(matches!(session.wait(job).outcome, JobOutcome::Keys { .. }));
+        assert_unknown(&session.wait(job), job);
+    }
+
+    #[test]
+    fn unclaimed_results_are_capped_but_running_jobs_stay() {
+        let _serial = crate::server_test_lock();
+        let server = Server::start(ServerConfig { workers: 2, ..ServerConfig::default() });
+        server.register_relation("held", gen("abalone", 200)).expect("register held");
+        server.register_relation("t", tiny()).expect("register t");
+        let (holder, session) = (server.session(), server.session());
+        let handle = server.shared.catalog.handle("held").expect("registered");
+        let held = lock(&handle);
+        // One worker takes the discover and blocks on the held dataset.
+        let running = holder.submit(discover("held"));
+        while !matches!(
+            server.shared.queue.state.lock().expect("queue lock").jobs[&running].state,
+            JobState::Running
+        ) {
+            std::thread::yield_now();
+        }
+        // The other worker serves this session alone, in submission order:
+        // once the last job is back, every earlier one has finished. That
+        // last result took the newest FIFO slot before its wait claimed it,
+        // so the six oldest unclaimed results are gone.
+        let unwaited: Vec<JobId> =
+            (0..FINISHED_RETAINED + 5).map(|_| session.submit(keys("t"))).collect();
+        session.run(keys("t"));
+        assert_eq!(job_table_len(&server), FINISHED_RETAINED, "FIFO plus the running job");
+        for &job in &unwaited[..6] {
+            assert_unknown(&session.wait(job), job);
+        }
+        assert!(matches!(session.wait(unwaited[6]).outcome, JobOutcome::Keys { .. }));
+        assert_eq!(job_table_len(&server), FINISHED_RETAINED - 1);
+        drop(held);
+        discovered(&holder.wait(running));
+    }
+
+    #[test]
+    fn every_waiter_blocked_on_a_job_receives_it() {
+        let _serial = crate::server_test_lock();
+        let server = Server::start_default();
+        server.register_relation("d", gen("abalone", 200)).expect("register");
+        let (owner, other) = (server.session(), server.session());
+        let handle = server.shared.catalog.handle("d").expect("registered");
+        let held = lock(&handle);
+        let job = owner.submit(discover("d"));
+        let (a, b) = std::thread::scope(|scope| {
+            let a = scope.spawn(|| owner.wait(job));
+            let b = scope.spawn(|| other.wait(job));
+            // The job cannot finish while the dataset is held, so both
+            // threads are blocked on it before it does.
+            while server.shared.queue.state.lock().expect("queue lock").jobs[&job].waiters < 2 {
+                std::thread::yield_now();
+            }
+            drop(held);
+            (a.join().expect("owner waiter"), b.join().expect("other waiter"))
+        });
+        assert!(Arc::ptr_eq(&a, &b));
+        discovered(&a);
+        assert_eq!(job_table_len(&server), 0);
+        assert_unknown(&owner.wait(job), job);
+    }
+
+    #[test]
+    fn cancelled_job_never_mutates_the_result_cache() {
+        let _serial = crate::server_test_lock();
+        // One worker and the dataset held by the test: job A is dispatched
+        // and blocks on the dataset lock, so B is provably still pending
+        // when it is cancelled and is withdrawn without running.
+        let relation = gen("letter", 500);
+        let b_options = DiscoverOptions { th_ncover: Some(0.5), th_pcover: None };
+        let b_config = EulerFdConfig { th_ncover: 0.5, ..EulerFdConfig::default() };
+        let (b_fds, _) =
+            EulerFd::with_config(b_config).discover_budgeted(&relation, &Budget::unlimited());
+        let expected_b = render_fds(&b_fds);
+
+        let server = Server::start(ServerConfig { workers: 1, ..ServerConfig::default() });
+        server.register_relation("held", relation).expect("register");
+        let session = server.session();
+        let handle = server.shared.catalog.handle("held").expect("registered");
+        let held = lock(&handle);
+
+        let a = session.submit(discover("held"));
+        let b = session.submit(Request::Discover { dataset: "held".into(), options: b_options });
+        assert!(session.cancel(b), "pending job must be cancellable");
+        drop(held);
+
+        match &session.wait(a).outcome {
+            JobOutcome::Discovered { termination, .. } => assert!(!termination.is_partial()),
+            other => panic!("job A -> {other:?}"),
+        }
+        match &session.wait(b).outcome {
+            JobOutcome::Cancelled { .. } => {}
+            other => panic!("cancelled job B -> {other:?}"),
+        }
+        let stats = server.stats();
+        assert_eq!(stats.jobs_cancelled, 1, "{stats:?}");
+        assert_eq!(stats.jobs_completed, 1, "{stats:?}");
+        assert_eq!(server.result_cache_len(), 1, "only A's converged result may be cached");
+
+        // Re-running B's exact request must miss the cache (a cancelled job
+        // left nothing behind) and then produce the full serial answer.
+        match &session
+            .run(Request::Discover { dataset: "held".into(), options: b_options })
+            .outcome
+        {
+            JobOutcome::Discovered { from_cache, fds, termination, .. } => {
+                assert!(!from_cache, "cancelled job B populated the result cache");
+                assert!(!termination.is_partial());
+                assert_eq!(render_fds(fds), expected_b);
+            }
+            other => panic!("B rerun -> {other:?}"),
+        }
+        assert_eq!(server.result_cache_len(), 2);
+    }
+
+    #[test]
+    fn server_counters_join_the_snapshot() {
+        if !fd_telemetry::compiled() {
+            return; // plain build: recording is compiled out, nothing to assert
+        }
+        let _serial = crate::server_test_lock();
+        fd_telemetry::set_enabled(true);
+        let server = Server::start(ServerConfig::default());
+        server.register_relation("m", gen("abalone", 600)).expect("register");
+        let session = server.session();
+        let discover =
+            || Request::Discover { dataset: "m".into(), options: DiscoverOptions::default() };
+        // The single worker is dispatched the first job and blocks on the
+        // held dataset, so the doomed job is withdrawn while pending.
+        let handle = server.shared.catalog.handle("m").expect("registered");
+        let held = lock(&handle);
+        let slow = session.submit(discover());
+        let doomed = session.submit(Request::Discover {
+            dataset: "m".into(),
+            options: DiscoverOptions { th_ncover: Some(0.5), th_pcover: None },
+        });
+        session.cancel(doomed);
+        drop(held);
+        session.wait(slow);
+        session.wait(doomed);
+        // Two identical discovers: both hit the result cache seeded by `slow`.
+        session.run(discover());
+        session.run(discover());
+        let stats = server.stats();
+        let snap = fd_telemetry::snapshot();
+        fd_telemetry::set_enabled(false);
+        let json = snap.to_json();
+        // Schema pin: the serving-layer counters are wire format now, mirrored
+        // by the always-available `ServerStats` atomics.
+        for key in ["server.jobs_completed", "server.jobs_cancelled", "server.cache_hits"] {
+            assert!(json.contains(&format!("\"{key}\":")), "snapshot must serialize {key}");
+        }
+        assert!(
+            snap.counter("server.jobs_completed").unwrap_or(0) >= 3,
+            "two discovers plus the slow job must count as completed"
+        );
+        assert_eq!(
+            snap.counter("server.jobs_cancelled"),
+            Some(stats.jobs_cancelled),
+            "telemetry disagrees with ServerStats on cancellations"
+        );
+        assert_eq!(
+            snap.counter("server.cache_hits"),
+            Some(stats.cache_hits),
+            "telemetry disagrees with ServerStats on cache hits"
+        );
+        assert!(stats.cache_hits >= 1, "the identical repeat discover must hit the cache");
     }
 }

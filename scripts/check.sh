@@ -64,6 +64,20 @@ cargo test -q -p fd-baselines --lib tane::tests::tane_is_thread_count_invariant
 # Algorithm 3 loop on a 70-attribute schema.
 cargo test -q -p fd-core --test proptests blocked_extensions_match_per_attribute_probes
 cargo test -q -p fd-core --test proptests wide_inversion_matches_textbook_algorithm_3
+# Serving-layer gate: repeat reads share one cached, pre-rendered result and
+# a per-version keys memo; a waited job leaves the job table, unclaimed ones
+# are capped, and every blocked waiter still gets its result. The two
+# cancellation tests hold the dataset lock, so the cancelled job is provably
+# pending. The delta engine counts its cover without materializing it.
+cargo test -q -p fd-server --lib server::tests::cache_hits_share_one_rendered_result
+cargo test -q -p fd-server --lib server::tests::keys_are_memoized_per_dataset_version
+cargo test -q -p fd-server --lib server::tests::waited_jobs_leave_the_job_table
+cargo test -q -p fd-server --lib server::tests::unclaimed_results_are_capped_but_running_jobs_stay
+cargo test -q -p fd-server --lib server::tests::every_waiter_blocked_on_a_job_receives_it
+cargo test -q -p fd-server --lib jobs::tests::a_blocked_waiter_keeps_a_claimed_or_evicted_job
+cargo test -q -p fd-server --lib server::tests::cancelled_job_never_mutates_the_result_cache
+cargo test -q -p fd-server --features telemetry --lib server::tests::server_counters_join_the_snapshot
+cargo test -q -p eulerfd --test proptests delta_engine_fd_count_matches_materialized_cover
 cargo clippy --workspace -- -D warnings -A clippy::needless_range_loop
 
 # The benchmark (fdbench/, its own workspace) must keep compiling against
