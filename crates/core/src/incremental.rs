@@ -1,4 +1,4 @@
-//! Incremental delta maintenance of a discovered FD cover (PR 8 tentpole).
+//! Incremental delta maintenance of a discovered FD cover.
 //!
 //! A [`DeltaEngine`] owns a relation together with the *exact* negative and
 //! positive covers of its current contents, plus the evidence bookkeeping
@@ -8,9 +8,8 @@
 //! * **Support multiset** — `support[S]` counts, for every non-empty agree
 //!   set `S`, the number of *(pair, column)* incidences that produced it:
 //!   `|S| ×` the number of unordered row pairs whose agree set is exactly
-//!   `S`. A pair is co-clustered in column `c` iff `c ∈ S`, so per-column
-//!   intra-cluster enumeration visits each pair exactly `|S|` times; the
-//!   count therefore hits zero exactly when the last supporting pair dies.
+//!   `S`. The count therefore hits zero exactly when the last supporting
+//!   pair dies.
 //! * **Insert path** — only pairs involving an inserted row can create new
 //!   evidence. Their agree sets are computed with the bit-packed
 //!   [`RowMajor::agree_set`] kernel, folded into the negative cover, and the
@@ -21,6 +20,14 @@
 //!   RHS *affected*; each affected RHS tree is rebuilt from the surviving
 //!   support keys and re-inverted bottom-up, reviving minimal FDs that the
 //!   dead evidence had invalidated.
+//!
+//! **Cost.** A delta costs one linear pass per column (compacting the
+//! relation and the engine's row-major mirror, gathering the delta rows'
+//! cluster mates, flagging non-fresh labels, testing constancy) plus one
+//! agree set per row pair that touches the delta and shares a value. No
+//! pass hashes a cell, and the mirror is patched in place; only the cold
+//! fallback transposes the table again. Rebuilding an affected RHS scans
+//! the support keys, so a delete that kills evidence costs more.
 //!
 //! The result is byte-identical to a cold rebuild on the post-delta
 //! relation — both covers are canonical functions of the *set* of surviving
@@ -37,11 +44,14 @@ use fd_relation::{PliCache, Relation, RowDelta, RowId, RowMajor};
 /// Exact FD discovery state that can be patched in place after row updates.
 ///
 /// Built once (the "cold" run) from a relation, then kept current with
-/// [`DeltaEngine::apply_delta`] at a cost proportional to the evidence the
-/// changed rows touch rather than to the whole relation.
+/// [`DeltaEngine::apply_delta`] at a cost proportional to the rows the
+/// delta touches plus linear passes over the columns, rather than to the
+/// pairs of the whole relation.
 #[derive(Clone, Debug)]
 pub struct DeltaEngine {
     relation: Relation,
+    /// Row-major mirror of `relation`, patched by every delta.
+    mirror: RowMajor,
     threads: usize,
     /// `support[S]` = |S| × number of unordered pairs with agree set `S`.
     support: FastHashMap<AttrSet, u64>,
@@ -113,8 +123,18 @@ impl DeltaEngine {
     /// the exact minimal cover plus the support bookkeeping deltas need.
     pub fn new(relation: Relation, threads: usize) -> DeltaEngine {
         let threads = threads.max(1);
-        let (support, ncover, pcover, constant) = cold_state(&relation, threads);
-        DeltaEngine { relation, threads, support, ncover, pcover, constant, stats: DeltaStats::default() }
+        let mirror = relation.row_major();
+        let (support, ncover, pcover, constant) = cold_state(&relation, &mirror, threads);
+        DeltaEngine {
+            relation,
+            mirror,
+            threads,
+            support,
+            ncover,
+            pcover,
+            constant,
+            stats: DeltaStats::default(),
+        }
     }
 
     /// The relation the current cover describes (post any applied deltas).
@@ -149,15 +169,24 @@ impl DeltaEngine {
 
     /// Applies a row delta (`inserts` appended, `deletes` removed by
     /// pre-delta row id) and incrementally repairs the covers. See the
-    /// module docs for the insert/delete asymmetry.
+    /// module docs for the insert/delete asymmetry and the cost.
+    ///
+    /// # Panics
+    /// Panics, before anything mutates, if the delta fails
+    /// [`Relation::check_delta`]: a deleted id out of range, an inserted
+    /// row of the wrong width, or an inserted label on column `a` not below
+    /// `n_distinct(a) + inserts.len() + FRESH_LABEL_HEADROOM`.
+    ///
+    /// [`FRESH_LABEL_HEADROOM`]: fd_relation::FRESH_LABEL_HEADROOM
     pub fn apply_delta(&mut self, inserts: &[Vec<u32>], deletes: &[RowId]) -> DeltaReport {
         self.apply_delta_inner(inserts, deletes).0
     }
 
     /// [`DeltaEngine::apply_delta`] plus surgical [`PliCache`] maintenance:
-    /// after the covers are repaired, cached partitions are patched in place
-    /// (deletes, fresh-label inserts) or evicted (entries an inserted
-    /// non-fresh label can reach) so the cache stays transparent.
+    /// after the covers are repaired, cached partitions are rebuilt
+    /// (singles), remapped (derived entries, across deletes) or evicted
+    /// (entries an inserted non-fresh label can reach) so the cache stays
+    /// transparent.
     pub fn apply_delta_with_cache(
         &mut self,
         inserts: &[Vec<u32>],
@@ -165,11 +194,15 @@ impl DeltaEngine {
         cache: &mut PliCache,
     ) -> DeltaReport {
         let (report, delta) = self.apply_delta_inner(inserts, deletes);
+        let _patch = fd_telemetry::span!("delta.cache_patch");
         cache.apply_delta(&self.relation, &delta);
         report
     }
 
     fn apply_delta_inner(&mut self, inserts: &[Vec<u32>], deletes: &[RowId]) -> (DeltaReport, RowDelta) {
+        if let Err(e) = self.relation.check_delta(inserts, deletes) {
+            panic!("{e}");
+        }
         let mut dels: Vec<RowId> = deletes.to_vec();
         dels.sort_unstable();
         dels.dedup();
@@ -187,7 +220,9 @@ impl DeltaEngine {
         // rebuilt from the new relation. Slower, never wrong.
         if fd_faults::inject!("delta.apply") == Some(fd_faults::Injected::AllocFail) {
             let delta = self.relation.apply_delta(inserts, &dels);
-            let (support, ncover, pcover, constant) = cold_state(&self.relation, self.threads);
+            self.mirror = self.relation.row_major();
+            let (support, ncover, pcover, constant) =
+                cold_state(&self.relation, &self.mirror, self.threads);
             self.support = support;
             self.ncover = ncover;
             self.pcover = pcover;
@@ -201,23 +236,13 @@ impl DeltaEngine {
         let m = self.relation.n_attrs();
 
         // ── 1. Delete pass, on the *old* relation: retire every incidence a
-        // deleted row participates in. Pair dedup: (deleted, surviving)
-        // counts from the deleted side; (deleted, deleted) from the larger
-        // id, so each dying pair is retired exactly once.
+        // deleted row participates in, once per dying pair.
         let mut dead: Vec<AttrSet> = Vec::new();
         if !dels.is_empty() {
-            let rm = self.relation.row_major();
-            let mut is_del = vec![false; self.relation.n_rows()];
-            for &d in &dels {
-                is_del[d as usize] = true;
-            }
+            let _pass = fd_telemetry::span!("delta.delete_pass");
             let support = &mut self.support;
-            for_each_pair_agree(
-                &self.relation,
-                &rm,
-                &dels,
-                &|r, u| !is_del[u as usize] || u < r,
-                &mut |s| match support.get_mut(&s) {
+            for_each_pair_agree(&self.relation, &self.mirror, &dels, &mut |_, _, s| {
+                match support.get_mut(&s) {
                     Some(count) => {
                         debug_assert!(*count >= s.len() as u64);
                         *count -= s.len() as u64;
@@ -227,22 +252,26 @@ impl DeltaEngine {
                         }
                     }
                     None => debug_assert!(false, "deleted pair's agree set {s:?} not in support"),
-                },
-            );
+                }
+            });
         }
 
-        // ── 2. Structural update: compact survivors, append inserts.
-        let delta = self.relation.apply_delta(inserts, &dels);
+        // ── 2. Structural update: compact survivors, append inserts — in
+        // the relation and, with the same compaction, in the mirror.
+        let delta = {
+            let _update = fd_telemetry::span!("delta.structural_update");
+            let delta = self.relation.apply_delta(inserts, &dels);
+            self.mirror.apply_delta(inserts, &delta.deleted);
+            delta
+        };
 
         // ── 3. Insert pass, on the *new* relation: only pairs with an
-        // inserted member are new. Dedup: count (new, old) from the new
-        // side, (new, new) from the larger id — inserted ids are the tail,
-        // so both collapse to `u < r`.
+        // inserted member are new.
         let mut fresh: FastHashSet<AttrSet> = FastHashSet::default();
         if !delta.inserted.is_empty() {
-            let rm = self.relation.row_major();
+            let _pass = fd_telemetry::span!("delta.insert_pass");
             let support = &mut self.support;
-            for_each_pair_agree(&self.relation, &rm, &delta.inserted, &|r, u| u < r, &mut |s| {
+            for_each_pair_agree(&self.relation, &self.mirror, &delta.inserted, &mut |_, _, s| {
                 let count = support.entry(s).or_insert(0);
                 if *count == 0 {
                     fresh.insert(s);
@@ -251,6 +280,7 @@ impl DeltaEngine {
             });
         }
 
+        let _rebuild = fd_telemetry::span!("delta.rhs_rebuild");
         // ── 4. Constancy flips. `∅ ↛ a` evidence is not pair-supported (a
         // pair with an empty agree set is co-clustered nowhere), so it
         // tracks column constancy directly. Label holes after deletes mean
@@ -326,20 +356,19 @@ impl DeltaEngine {
 
 /// Exhaustive evidence collection: the support multiset over all intra-
 /// cluster pairs, the canonical negative cover (maximal non-FDs plus the
-/// `∅ ↛ a` seed per non-constant column), and its inversion.
+/// `∅ ↛ a` seed per non-constant column), and its inversion. `mirror` is
+/// the row-major mirror of `relation`.
 fn cold_state(
     relation: &Relation,
+    mirror: &RowMajor,
     threads: usize,
 ) -> (FastHashMap<AttrSet, u64>, NCover, PCover, Vec<bool>) {
     let m = relation.n_attrs();
     let mut support: FastHashMap<AttrSet, u64> = FastHashMap::default();
-    if relation.n_rows() > 1 {
-        let rm = relation.row_major();
-        let all: Vec<RowId> = (0..relation.n_rows() as RowId).collect();
-        for_each_pair_agree(relation, &rm, &all, &|r, u| u < r, &mut |s| {
-            *support.entry(s).or_insert(0) += s.len() as u64;
-        });
-    }
+    let all: Vec<RowId> = (0..relation.n_rows() as RowId).collect();
+    for_each_pair_agree(relation, mirror, &all, &mut |_, _, s| {
+        *support.entry(s).or_insert(0) += s.len() as u64;
+    });
     let constant: Vec<bool> = (0..m).map(|a| relation.is_constant(a as AttrId)).collect();
     let mut ncover = NCover::new(m);
     for (a, &is_const) in constant.iter().enumerate() {
@@ -356,47 +385,104 @@ fn cold_state(
     (support, ncover, pcover, constant)
 }
 
-/// Calls `f` exactly once per unordered row pair that (a) involves a target
-/// row, (b) passes `accept`, and (c) shares at least one column value —
-/// with the pair's agree set, computed by the bit-packed row-major kernel.
+/// No group: the label slot of a label no target carries.
+const NO_GROUP: u32 = u32::MAX;
+
+/// Calls `f(r, u, agree_set(r, u))` exactly once per unordered row pair
+/// that has a member in `targets` and shares at least one column value,
+/// where `r` is the target member (the larger id when both are targets).
+/// `targets` must be ascending and distinct. The agree set comes from the
+/// bit-packed row-major kernel on `mirror`, the row-major copy of
+/// `relation`.
 ///
-/// Enumeration is per column over label groups restricted to the targets'
-/// labels; a pair co-clustered in `k` columns is seen `k` times, and the
-/// call is deduplicated to the pair's first agreeing column (`S.first()`).
-/// `accept(r, u)` must not depend on the column for that dedup to hold.
+/// One pass per column gathers the mate group of every target label: a
+/// dense slot vector indexed by label (labels are `< n_distinct`) names the
+/// group, and a counting sort lays the groups out flat. Each target then
+/// walks its groups across all columns, and a per-row stamp skips the mates
+/// already seen on an earlier column, so every pair's agree set is computed
+/// once, however many columns it agrees on.
 fn for_each_pair_agree(
     relation: &Relation,
-    rm: &RowMajor,
+    mirror: &RowMajor,
     targets: &[RowId],
-    accept: &dyn Fn(RowId, RowId) -> bool,
-    f: &mut dyn FnMut(AttrSet),
+    f: &mut dyn FnMut(RowId, RowId, AttrSet),
 ) {
     if targets.is_empty() || relation.n_rows() < 2 {
         return;
     }
-    let mut wanted: FastHashSet<u32> = FastHashSet::default();
-    let mut rows_by: FastHashMap<u32, Vec<RowId>> = FastHashMap::default();
-    for a in 0..relation.n_attrs() {
-        let a = a as AttrId;
-        wanted.clear();
+    debug_assert!(targets.windows(2).all(|w| w[0] < w[1]), "targets must be ascending");
+    let m = relation.n_attrs();
+    let n = targets.len();
+    // Group `g` holds `members[offsets[g]..offsets[g + 1]]`, ascending;
+    // target `i`'s group on column `a` is `group_of[a * n + i]`.
+    let mut group_of: Vec<u32> = Vec::with_capacity(m * n);
+    let mut offsets: Vec<usize> = vec![0];
+    let mut members: Vec<RowId> = Vec::new();
+    let max_labels = (0..m).map(|a| relation.n_distinct(a as AttrId)).max().unwrap_or(0);
+    let mut slot: Vec<u32> = vec![NO_GROUP; max_labels];
+    let mut matched: Vec<(u32, RowId)> = Vec::new();
+    for a in 0..m {
+        let col = relation.column(a as AttrId);
+        let first = offsets.len() - 1;
         for &r in targets {
-            wanted.insert(relation.label(r, a));
+            let s = &mut slot[col[r as usize] as usize];
+            if *s == NO_GROUP {
+                let g = offsets.len() - 1;
+                assert!(g < NO_GROUP as usize, "mate group ids must fit in u32");
+                *s = g as u32;
+                offsets.push(0);
+            }
+            group_of.push(*s);
         }
-        rows_by.clear();
-        for (t, &l) in relation.column(a).iter().enumerate() {
-            if wanted.contains(&l) {
-                rows_by.entry(l).or_default().push(t as RowId);
+        // One column pass finds the rows of the target labels; a counting
+        // sort over just those rows lays the groups out, rows ascending.
+        matched.clear();
+        for (t, &label) in col.iter().enumerate() {
+            let g = slot[label as usize];
+            if g != NO_GROUP {
+                matched.push((g, t as RowId));
             }
         }
+        for &(g, _) in &matched {
+            offsets[g as usize + 1] += 1;
+        }
+        for g in first..offsets.len() - 1 {
+            offsets[g + 1] += offsets[g];
+        }
+        members.resize(offsets[offsets.len() - 1], 0);
+        let mut cursor: Vec<usize> = offsets[first..offsets.len() - 1].to_vec();
+        for &(g, t) in &matched {
+            let c = &mut cursor[g as usize - first];
+            members[*c] = t;
+            *c += 1;
+        }
         for &r in targets {
-            if let Some(mates) = rows_by.get(&relation.label(r, a)) {
-                for &u in mates {
-                    if u == r || !accept(r, u) {
-                        continue;
-                    }
-                    let s = rm.agree_set(r, u);
-                    if s.first() == Some(a) {
-                        f(s);
+            slot[col[r as usize] as usize] = NO_GROUP;
+        }
+    }
+    let mut is_target = vec![false; relation.n_rows()];
+    for &r in targets {
+        is_target[r as usize] = true;
+    }
+    // A pair of two targets counts from its larger id. When the targets are
+    // the last rows (the insert pass, the cold build), every mate above `r`
+    // is a target, so each group is cut at `r`.
+    let suffix = targets[0] as usize == relation.n_rows() - n;
+    let mut stamp: Vec<u32> = vec![0; relation.n_rows()];
+    for (i, &r) in targets.iter().enumerate() {
+        let mark = i as u32 + 1;
+        stamp[r as usize] = mark;
+        for a in 0..m {
+            let g = group_of[a * n + i] as usize;
+            let mut group = &members[offsets[g]..offsets[g + 1]];
+            if suffix {
+                group = &group[..group.partition_point(|&u| u < r)];
+            }
+            for &u in group {
+                if stamp[u as usize] != mark {
+                    stamp[u as usize] = mark;
+                    if u < r || !is_target[u as usize] {
+                        f(r, u, mirror.agree_set(r, u));
                     }
                 }
             }
@@ -574,6 +660,79 @@ mod tests {
             .product(&fd_relation::Partition::of_column(engine.relation(), 2).stripped());
         assert_eq!(*got, want);
         assert_engine_exact(&engine);
+    }
+
+    #[test]
+    fn mirror_and_support_track_random_waves() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(19);
+        let columns: Vec<Vec<u32>> =
+            (0..4).map(|a| (0..40).map(|_| rng.gen_range(0..2 + a as u32)).collect()).collect();
+        let names = (0..4).map(|a| format!("c{a}")).collect();
+        let relation = Relation::from_encoded_columns("waves", names, columns);
+        let mut engine = DeltaEngine::new(relation, 1);
+        for wave in 0..12 {
+            let n = engine.relation().n_rows() as u32;
+            let deletes: Vec<RowId> = (0..rng.gen_range(0..6usize))
+                .filter(|_| n > 0)
+                .map(|_| rng.gen_range(0..n))
+                .collect();
+            let inserts: Vec<Vec<u32>> = (0..rng.gen_range(0..6usize))
+                .map(|_| (0..4).map(|a| rng.gen_range(0..3 + a as u32)).collect())
+                .collect();
+            engine.apply_delta(&inserts, &deletes);
+            let fresh = engine.relation().row_major();
+            assert_eq!(engine.mirror.n_rows(), fresh.n_rows(), "wave {wave}");
+            for t in 0..fresh.n_rows() as RowId {
+                assert_eq!(engine.mirror.row(t), fresh.row(t), "wave {wave}, row {t}");
+            }
+            let (support, ..) = cold_state(engine.relation(), &fresh, 1);
+            assert_eq!(engine.support, support, "wave {wave}");
+        }
+    }
+
+    #[test]
+    fn pair_enumeration_reports_each_qualifying_pair_once() {
+        let r = Relation::from_encoded_columns(
+            "pairs",
+            vec!["a".into(), "b".into(), "c".into()],
+            vec![
+                vec![0, 0, 1, 1, 0, 2, 2, 0],
+                vec![0, 1, 1, 0, 0, 1, 2, 3],
+                vec![0, 0, 0, 1, 1, 1, 2, 2],
+            ],
+        );
+        let rm = r.row_major();
+        let n = r.n_rows() as RowId;
+        // Brute force over all unordered pairs: a pair touching the targets
+        // that shares a value is reported once, from its target member (the
+        // larger one when both are targets).
+        let brute = |targets: &[RowId]| {
+            let mut want = Vec::new();
+            for t in 0..n {
+                for u in t + 1..n {
+                    let s = r.agree_set(t, u);
+                    if s.is_empty() {
+                        continue;
+                    }
+                    if targets.contains(&u) {
+                        want.push((u, t, s));
+                    } else if targets.contains(&t) {
+                        want.push((t, u, s));
+                    }
+                }
+            }
+            want.sort_unstable();
+            want
+        };
+        // Scattered targets (the delete pass), with and without the last
+        // row; a tail (the insert pass); every row (the cold build).
+        for targets in [vec![1, 4, 5], vec![0, 3, 7], vec![6, 7], (0..n).collect()] {
+            let mut got = Vec::new();
+            for_each_pair_agree(&r, &rm, &targets, &mut |t, u, s| got.push((t, u, s)));
+            got.sort_unstable();
+            assert_eq!(got, brute(&targets), "targets {targets:?}");
+        }
     }
 
     #[test]

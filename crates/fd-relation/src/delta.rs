@@ -50,10 +50,6 @@ pub struct RowDelta {
     /// through an inserted row whose labels are non-fresh on all of `X`,
     /// which is exactly the PLI cache's surgical-eviction test.
     pub nonfresh_attrs: Vec<AttrSet>,
-    /// Per column: the deduplicated labels used by inserted rows. These are
-    /// the only labels whose clusters a single-attribute partition patch
-    /// must rebuild.
-    pub touched_labels: Vec<Vec<u32>>,
 }
 
 impl RowDelta {
@@ -187,7 +183,6 @@ mod tests {
             deleted: vec![1, 3],
             inserted: vec![],
             nonfresh_attrs: vec![],
-            touched_labels: vec![vec![], vec![]],
         };
         assert_eq!(delta.row_remap(), vec![0, u32::MAX, 1, u32::MAX, 2]);
         assert!(!delta.is_empty());

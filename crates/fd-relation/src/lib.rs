@@ -50,7 +50,7 @@ pub use pli_cache::{sampling_clusters_cached, MemoryPressure, PliCache, PliCache
 pub use profile::{profile, ColumnProfile, RelationProfile};
 pub use relation::{
     agree_of_rows, packed_agree_of_rows, BatchStats, NullLabeling, Relation, RelationBuilder,
-    RowId, RowMajor,
+    RowId, RowMajor, FRESH_LABEL_HEADROOM,
 };
 
 /// Convenient glob import for examples and tests.

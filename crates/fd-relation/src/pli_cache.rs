@@ -33,8 +33,8 @@
 
 use crate::delta::RowDelta;
 use crate::partition::{Partition, ProductScratch};
-use crate::relation::{Relation, RowId};
-use fd_core::{AttrId, AttrSet, Budget, FastHashMap, FastHashSet, Termination};
+use crate::relation::Relation;
+use fd_core::{AttrSet, Budget, FastHashMap, Termination};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -238,20 +238,20 @@ impl PliCache {
     ///
     /// Three rules, in order:
     ///
-    /// 1. **Deletes patch everything.** Removing rows induces the partition
-    ///    of the surviving sub-relation exactly, so every entry — single or
-    ///    derived — is remapped in place via
-    ///    [`Partition::remap_rows`]. No eviction is ever needed for a
-    ///    delete.
+    /// 1. **Deletes patch derived entries.** Removing rows induces the
+    ///    partition of the surviving sub-relation exactly, so every derived
+    ///    entry is remapped in place via [`Partition::remap_rows`]. No
+    ///    eviction is ever needed for a delete.
     /// 2. **Inserts evict only provably-at-risk derived entries.** A
     ///    derived `Π̂_X` can only change if some inserted row joins (or
     ///    forms) a cluster, which requires its labels on *all* of `X` to be
     ///    non-fresh ([`RowDelta::nonfresh_attrs`]). Entries failing that
     ///    test for every inserted row are kept verbatim; the rest are
     ///    dropped and counted as `surgical_evictions`.
-    /// 3. **Inserts patch singles in place.** Only clusters of the labels
-    ///    an insert touched ([`RowDelta::touched_labels`]) are rebuilt from
-    ///    the new column; untouched clusters are kept as-is.
+    /// 3. **Singles are rebuilt.** Every single-attribute entry becomes
+    ///    [`Partition::of_column`] of the new column, stripped: an
+    ///    O(rows + labels) counting sort with no hashing. Partitions are
+    ///    canonical, so this equals patching the old entry in place.
     ///
     /// Returns the number of entries surgically evicted.
     pub fn apply_delta(&mut self, relation: &Relation, delta: &RowDelta) -> usize {
@@ -288,7 +288,7 @@ impl PliCache {
         let keys: Vec<AttrSet> = self.entries.keys().copied().collect();
         for key in keys {
             let Some(entry) = self.entries.get(&key) else { continue };
-            let mut patched = if delta.new_n_rows == 0 {
+            let patched = if delta.new_n_rows == 0 {
                 // The delta emptied the table (all rows deleted, nothing
                 // inserted — `new_n_rows` counts post-insert rows). Every
                 // partition collapses to the canonical empty form; stating
@@ -296,16 +296,14 @@ impl PliCache {
                 // derivation over the emptied cache never walks an empty
                 // fence.
                 Partition::empty(0)
+            } else if key.len() == 1 {
+                Partition::of_column(relation, key.first().unwrap_or_default()).stripped()
             } else {
                 match &remap {
                     Some(r) => entry.partition.remap_rows(r, delta.new_n_rows),
                     None => entry.partition.with_total_rows(delta.new_n_rows),
                 }
             };
-            if !delta.inserted.is_empty() && key.len() == 1 {
-                let a = key.first().unwrap_or_default();
-                patched = patch_single(&patched, relation, a, &delta.touched_labels[a as usize]);
-            }
             let Some(entry) = self.entries.get_mut(&key) else { continue };
             if !entry.pinned {
                 self.resident_rows -= entry.partition.covered_rows();
@@ -523,38 +521,6 @@ enum EvictReason {
     Pressure,
 }
 
-/// Rebuilds the clusters of the labels an insert batch touched in a stripped
-/// single-attribute partition, keeping every untouched cluster verbatim.
-/// `base` must already reflect the delta's deletes and row count; `relation`
-/// is the post-delta relation the touched clusters are rebuilt from.
-fn patch_single(
-    base: &Partition,
-    relation: &Relation,
-    a: AttrId,
-    touched: &[u32],
-) -> Partition {
-    if touched.is_empty() {
-        return base.clone();
-    }
-    let touched_set: FastHashSet<u32> = touched.iter().copied().collect();
-    // Rows of every touched label, gathered in one column scan (ascending
-    // row order by construction).
-    let mut rows_by: FastHashMap<u32, Vec<RowId>> = FastHashMap::default();
-    for (t, &label) in relation.column(a).iter().enumerate() {
-        if touched_set.contains(&label) {
-            rows_by.entry(label).or_default().push(t as RowId);
-        }
-    }
-    let mut clusters: Vec<Vec<RowId>> = base
-        .clusters()
-        .filter(|c| !touched_set.contains(&relation.label(c[0], a)))
-        .map(<[RowId]>::to_vec)
-        .collect();
-    clusters.extend(rows_by.into_values().filter(|rows| rows.len() > 1));
-    clusters.sort_by_key(|c| c[0]);
-    Partition::from_clusters(clusters, relation.n_rows())
-}
-
 /// [`crate::partition::sampling_clusters`] through the cache: the
 /// single-attribute stripped partitions are built (or reused) via `cache`,
 /// then deduplicated in attribute order exactly like the uncached path.
@@ -571,7 +537,9 @@ pub fn sampling_clusters_cached(
 mod tests {
     use super::*;
     use crate::partition::sampling_clusters;
+    use crate::relation::RowId;
     use crate::synth::patient;
+    use fd_core::AttrId;
 
     fn fresh(relation: &Relation, attrs: &AttrSet) -> Partition {
         let mut it = attrs.iter();
@@ -719,7 +687,7 @@ mod tests {
         let sup = AttrSet::from_attrs([1u16, 2, 4]);
         assert_eq!(*cache.get(&r, &sup), fresh(&r, &sup));
         // Refilling the emptied table stays transparent too (insert-only
-        // delta on a zero-row base: every label is fresh, singles patch).
+        // delta on a zero-row base: every label is fresh, singles rebuild).
         let delta2 = r.apply_delta(&[vec![0, 0, 1, 0, 2], vec![0, 1, 1, 0, 2]], &[]);
         cache.apply_delta(&r, &delta2);
         assert_eq!(r.n_rows(), 2);
@@ -810,7 +778,7 @@ mod tests {
         for attrs in &derived {
             assert!(!cache.contains(attrs));
         }
-        // Pinned singles were patched in place, and exactly.
+        // Pinned singles were rebuilt, and exactly.
         for a in 0..r.n_attrs() as AttrId {
             let key = AttrSet::single(a);
             if cache.contains(&key) {

@@ -81,9 +81,10 @@ impl Relation {
 
     /// Number of distinct values in column `a`.
     ///
-    /// After [`Relation::apply_delta`] deletes this is only an **upper
-    /// bound** on the labels present (a delete can remove the last row of a
-    /// label without compacting the label space). That bound is exactly what
+    /// After [`Relation::apply_delta`] this is only an **upper bound** on
+    /// the labels present: one past the largest label the column has held
+    /// (a delete can remove the last row of a label without compacting the
+    /// label space, and never lowers the bound). That bound is exactly what
     /// [`crate::Partition::of_column`] needs for sizing, but it must never
     /// drive semantic decisions — use [`Relation::n_distinct_exact`] or
     /// [`Relation::is_constant`] for those.
@@ -223,6 +224,47 @@ impl Relation {
         self.column(a).windows(2).all(|w| w[0] == w[1])
     }
 
+    /// Checks that a row delta fits this relation, before anything mutates:
+    /// every deleted id names a row, every inserted row has the schema's
+    /// width, and every inserted label on column `a` is below
+    /// `n_distinct(a) + inserts.len() + FRESH_LABEL_HEADROOM`.
+    ///
+    /// Labels at or past `n_distinct(a)` name values the column has never
+    /// held, and a dictionary hands out at most one per inserted row; the
+    /// headroom lets callers that pick fresh labels themselves leave gaps.
+    /// The bound keeps every per-label table that a delta or a later
+    /// [`crate::Partition::of_column`] sizes by `n_distinct` proportional to
+    /// the rows inserted, however large a label the caller sends.
+    pub fn check_delta(&self, inserts: &[Vec<u32>], deletes: &[RowId]) -> Result<(), String> {
+        if let Some(&bad) = deletes.iter().find(|&&d| d as usize >= self.n_rows) {
+            return Err(format!(
+                "deleted row id {bad} out of range (dataset has {} rows)",
+                self.n_rows
+            ));
+        }
+        for row in inserts {
+            if row.len() != self.n_attrs() {
+                return Err(format!(
+                    "insert row has {} fields, dataset has {}",
+                    row.len(),
+                    self.n_attrs()
+                ));
+            }
+            for (a, &label) in row.iter().enumerate() {
+                let bound =
+                    self.distinct[a] as u64 + inserts.len() as u64 + FRESH_LABEL_HEADROOM as u64;
+                if label as u64 >= bound {
+                    return Err(format!(
+                        "inserted label {label} on column {a} is not below {bound} \
+                         (the column's label bound plus one per inserted row \
+                         plus {FRESH_LABEL_HEADROOM})"
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Applies one batch of row deletes and inserts in place and describes
     /// the outcome as a [`RowDelta`].
     ///
@@ -230,77 +272,55 @@ impl Relation {
     /// column, keeping their relative order. Inserted rows (already encoded
     /// — labels at or past the current `n_distinct` bound denote values
     /// unseen in the base dictionary) are then appended in batch order.
-    /// After the batch, `n_distinct(a)` is recomputed as
-    /// `max present label + 1`: still only an upper bound on the number of
-    /// labels present (deletes can leave holes), which is exactly the
-    /// contract [`crate::Partition::of_column`] needs. Use
-    /// [`Relation::is_constant`] rather than `n_distinct` to test constancy
-    /// after a delta.
+    /// `n_distinct(a)` becomes the label bound `max(n_distinct(a), largest
+    /// inserted label + 1)`: deletes never lower it, so a dictionary that
+    /// keeps encoding after deletes stays within [`Relation::check_delta`].
+    /// It is only an upper bound on the labels present (deletes leave
+    /// holes), which is exactly the contract
+    /// [`crate::Partition::of_column`] needs. Use [`Relation::is_constant`]
+    /// rather than `n_distinct` to test constancy after a delta.
+    ///
+    /// Costs one pass over each column plus the inserted cells, with no
+    /// hashing: the non-fresh masks come from one label flag vector per
+    /// column.
     ///
     /// # Panics
-    /// Panics if a deleted id is out of range or an inserted row's width
-    /// differs from the schema width.
+    /// Panics if the delta fails [`Relation::check_delta`].
     pub fn apply_delta(&mut self, inserts: &[Vec<u32>], deletes: &[RowId]) -> RowDelta {
-        let old_n_rows = self.n_rows;
-        let n_attrs = self.n_attrs();
-        for row in inserts {
-            assert_eq!(row.len(), n_attrs, "inserted row width mismatch");
+        if let Err(e) = self.check_delta(inserts, deletes) {
+            panic!("{e}");
         }
+        let old_n_rows = self.n_rows;
         let mut deleted: Vec<RowId> = deletes.to_vec();
         deleted.sort_unstable();
         deleted.dedup();
-        if let Some(&last) = deleted.last() {
-            assert!((last as usize) < old_n_rows, "deleted row id {last} out of range");
+        for col in &mut self.columns {
+            compact_rows(col, 1, old_n_rows, &deleted);
         }
-        // Compact survivors to the front of every column.
-        if !deleted.is_empty() {
-            for col in &mut self.columns {
-                let mut del = deleted.iter().peekable();
-                let mut write = 0usize;
-                for t in 0..old_n_rows {
-                    if del.peek() == Some(&&(t as RowId)) {
-                        del.next();
-                        continue;
-                    }
-                    col[write] = col[t];
-                    write += 1;
-                }
-                col.truncate(write);
-            }
-            self.n_rows = old_n_rows - deleted.len();
-        }
-        // Append inserts, recording per-row which labels were already
+        let base_rows = old_n_rows - deleted.len();
+        self.n_rows = base_rows + inserts.len();
+        assert!(self.n_rows <= u32::MAX as usize, "row count exceeds u32 range");
+        // Append inserts, recording per row which labels were already
         // present (in the post-delete base, or on an earlier batch row).
-        let base_rows = self.n_rows;
-        let mut nonfresh_attrs: Vec<AttrSet> = Vec::with_capacity(inserts.len());
-        let mut touched_labels: Vec<Vec<u32>> = vec![Vec::new(); n_attrs];
+        let mut nonfresh_attrs = vec![AttrSet::empty(); inserts.len()];
         if !inserts.is_empty() {
-            let mut present: Vec<FastHashSet<u32>> = self
-                .columns
-                .iter()
-                .map(|col| col.iter().copied().collect())
-                .collect();
-            for row in inserts {
-                let mut mask = AttrSet::empty();
-                for (a, &label) in row.iter().enumerate() {
-                    if !present[a].insert(label) {
+            let mut present: Vec<bool> = Vec::new();
+            let columns = self.columns.iter_mut().zip(&mut self.distinct);
+            for (a, (col, distinct)) in columns.enumerate() {
+                *distinct = inserts.iter().map(|row| row[a] + 1).fold(*distinct, u32::max);
+                present.clear();
+                present.resize(*distinct as usize, false);
+                for &label in col.iter() {
+                    present[label as usize] = true;
+                }
+                for (row, mask) in inserts.iter().zip(&mut nonfresh_attrs) {
+                    let label = row[a];
+                    if std::mem::replace(&mut present[label as usize], true) {
                         mask.insert(a as AttrId);
                     }
-                    touched_labels[a].push(label);
-                    self.columns[a].push(label);
+                    col.push(label);
                 }
-                nonfresh_attrs.push(mask);
             }
-            self.n_rows = base_rows + inserts.len();
-            assert!(self.n_rows <= u32::MAX as usize, "row count exceeds u32 range");
-            for labels in &mut touched_labels {
-                labels.sort_unstable();
-                labels.dedup();
-            }
-        }
-        // Tighten the distinct bound to max present label + 1.
-        for (col, distinct) in self.columns.iter().zip(self.distinct.iter_mut()) {
-            *distinct = col.iter().max().map_or(0, |&m| m + 1);
         }
         RowDelta {
             old_n_rows,
@@ -308,7 +328,6 @@ impl Relation {
             inserted: (base_rows as RowId..self.n_rows as RowId).collect(),
             deleted,
             nonfresh_attrs,
-            touched_labels,
         }
     }
 
@@ -325,6 +344,29 @@ impl Relation {
             *distinct = remap.len() as u32;
         }
     }
+}
+
+/// Inserted labels may run this far past `n_distinct(a) + inserts.len()`
+/// (see [`Relation::check_delta`]).
+pub const FRESH_LABEL_HEADROOM: u32 = 1024;
+
+/// Removes the rows `sorted_deletes` (ascending, deduplicated) from a
+/// row-ordered buffer of `n_rows` rows of `width` cells, keeping the survivors in
+/// order: one `copy_within` per run of surviving rows. The one compaction
+/// behind [`Relation::apply_delta`] (`width` 1, per column) and
+/// [`RowMajor::apply_delta`], so the two layouts stay row-for-row equal.
+fn compact_rows(data: &mut Vec<u32>, width: usize, n_rows: usize, sorted_deletes: &[RowId]) {
+    if sorted_deletes.is_empty() {
+        return;
+    }
+    let mut write = 0usize;
+    let mut start = 0usize;
+    for end in sorted_deletes.iter().map(|&d| d as usize).chain(std::iter::once(n_rows)) {
+        data.copy_within(start * width..end * width, write * width);
+        write += end - start;
+        start = end + 1;
+    }
+    data.truncate(write * width);
 }
 
 /// Per-batch counters of the pair-comparison kernel, derived from the
@@ -376,6 +418,21 @@ impl RowMajor {
     pub fn row(&self, t: RowId) -> &[u32] {
         let start = t as usize * self.width;
         &self.data[start..start + self.width]
+    }
+
+    /// Applies a row delta exactly as [`Relation::apply_delta`] does to the
+    /// relation this mirrors: the rows `sorted_deletes` (ascending,
+    /// deduplicated, in range) are removed with the same compaction, then
+    /// `inserts` are appended in batch order. Patching in place keeps a
+    /// long-lived mirror current at the cost of one pass over the rows,
+    /// where [`Relation::row_major`] would transpose the whole table.
+    pub fn apply_delta(&mut self, inserts: &[Vec<u32>], sorted_deletes: &[RowId]) {
+        compact_rows(&mut self.data, self.width, self.n_rows, sorted_deletes);
+        for row in inserts {
+            debug_assert_eq!(row.len(), self.width, "inserted row width mismatch");
+            self.data.extend_from_slice(row);
+        }
+        self.n_rows = self.n_rows - sorted_deletes.len() + inserts.len();
     }
 
     /// The agree set of tuples `t` and `u`, computed by the bit-packed
@@ -761,12 +818,65 @@ mod tests {
         assert_eq!(delta.nonfresh_attrs[0], AttrSet::single(0));
         // Insert 2: x-label 5 fresh, y-label 0 pre-exists.
         assert_eq!(delta.nonfresh_attrs[1], AttrSet::single(1));
-        assert_eq!(delta.touched_labels[0], vec![1, 5]);
-        assert_eq!(delta.touched_labels[1], vec![0, 2]);
-        // distinct stays a valid bound: max present label + 1.
+        // distinct stays a valid bound: the largest label ever held + 1.
         assert_eq!(r.n_distinct(0), 6);
         assert_eq!(r.n_distinct(1), 3);
         assert_eq!(delta.row_remap(), vec![u32::MAX, 0, u32::MAX, 1]);
+        // The mirror patched with the same delta equals a fresh transpose.
+        let mut base = Relation::from_encoded_columns(
+            "d",
+            vec!["x".into(), "y".into()],
+            vec![vec![0, 1, 2, 1], vec![0, 0, 1, 1]],
+        );
+        let mut rm = base.row_major();
+        base.apply_delta(&[vec![1, 2], vec![5, 0]], &[0, 2]);
+        rm.apply_delta(&[vec![1, 2], vec![5, 0]], &[0, 2]);
+        let fresh = base.row_major();
+        assert_eq!(rm.n_rows(), 4);
+        for t in 0..4 {
+            assert_eq!(rm.row(t), fresh.row(t));
+        }
+    }
+
+    #[test]
+    fn nonfresh_masks_see_labels_past_the_old_bound_and_repeats_in_the_batch() {
+        // Bounds before the delta: x has 3 labels, y has 2.
+        let mut r = Relation::from_encoded_columns(
+            "d",
+            vec!["x".into(), "y".into()],
+            vec![vec![0, 1, 2], vec![0, 1, 1]],
+        );
+        let delta = r.apply_delta(&[vec![3, 5], vec![4, 1], vec![4, 5], vec![2, 9]], &[2]);
+        // Row 1: x=3 and y=5 lie past both old bounds, so both are fresh.
+        assert_eq!(delta.nonfresh_attrs[0], AttrSet::empty());
+        // Row 2: x=4 is past the bound, y=1 survives in the base.
+        assert_eq!(delta.nonfresh_attrs[1], AttrSet::single(1));
+        // Row 3 repeats x=4 and y=5 from earlier rows of the batch.
+        assert_eq!(delta.nonfresh_attrs[2], AttrSet::from_attrs([0u16, 1]));
+        // Row 4: x=2 was deleted with row 2, so it is fresh again.
+        assert_eq!(delta.nonfresh_attrs[3], AttrSet::empty());
+        assert_eq!(r.n_distinct(0), 5);
+        assert_eq!(r.n_distinct(1), 10);
+        assert_eq!(delta.changed_columns(), AttrSet::from_attrs([0u16, 1]));
+    }
+
+    #[test]
+    fn check_delta_rejects_what_apply_delta_cannot_take() {
+        let r = Relation::from_encoded_columns(
+            "d",
+            vec!["x".into(), "y".into()],
+            vec![vec![0, 1, 2], vec![0, 1, 1]],
+        );
+        let top = 3 + 2 + FRESH_LABEL_HEADROOM;
+        assert_eq!(r.check_delta(&[vec![top - 1, 0], vec![0, 0]], &[0, 2]), Ok(()));
+        let label = r.check_delta(&[vec![top, 0], vec![0, 0]], &[]).unwrap_err();
+        assert!(label.contains(&format!("label {top} on column 0")), "{label}");
+        assert!(r.check_delta(&[vec![0, u32::MAX]], &[]).is_err());
+        assert!(r.check_delta(&[vec![0]], &[]).unwrap_err().contains("1 fields"));
+        assert_eq!(
+            r.check_delta(&[], &[3]),
+            Err("deleted row id 3 out of range (dataset has 3 rows)".to_owned())
+        );
     }
 
     #[test]
@@ -807,9 +917,8 @@ mod tests {
         );
         assert_eq!(r.n_distinct_exact(0), 3);
         assert_eq!(r.n_distinct_exact(0), r.n_distinct(0));
-        // Delete rows 0 and 3: column x keeps only label 1, so the bound is
-        // recomputed as max present label + 1 = 2 — still above the true
-        // count of 1.
+        // Delete rows 0 and 3: column x keeps only label 1, but the bound
+        // stays 3 — above the true count of 1.
         let _ = r.apply_delta(&[], &[0, 3]);
         assert!(r.n_distinct(0) > 1, "stale bound overshoots");
         assert_eq!(r.n_distinct_exact(0), 1, "exact count sees the hole");

@@ -145,19 +145,23 @@ impl Dataset {
             ))
         })?;
         let width = dicts.n_attrs();
-        raw.iter()
+        // Check every row before encoding any: a rejected batch must not
+        // hand out labels, or the dictionaries would run ahead of the
+        // relation's label bound (`Relation::check_delta`).
+        if let Some(row) = raw.iter().find(|row| row.len() != width) {
+            return Err(CatalogError::Encode(format!(
+                "insert row has {} fields, dataset has {width}",
+                row.len()
+            )));
+        }
+        Ok(raw
+            .iter()
             .map(|row| {
-                if row.len() != width {
-                    return Err(CatalogError::Encode(format!(
-                        "insert row has {} fields, dataset has {width}",
-                        row.len()
-                    )));
-                }
                 let nullable: Vec<Option<&str>> =
                     row.iter().map(|v| (!v.is_empty()).then_some(v.as_str())).collect();
-                Ok(dicts.encode_nullable_row(&nullable, NullLabeling::Shared))
+                dicts.encode_nullable_row(&nullable, NullLabeling::Shared)
             })
-            .collect()
+            .collect())
     }
 
     /// Applies a row delta: the engine patches relation + FD cover, the PLI

@@ -612,15 +612,17 @@ fn run_request(shared: &Shared, request: &Request, budget: &Budget) -> JobOutcom
                 Err(e) => return JobOutcome::Failed { error: e.to_string() },
             };
             let mut ds = lock(&handle);
-            // Reject bad ids before anything mutates: encoding inserts grows
-            // the dictionaries, and the engine indexes rows by these ids.
-            let n_rows = ds.snapshot().0.n_rows();
-            if let Some(&bad) = deletes.iter().find(|&&d| d as usize >= n_rows) {
-                return JobOutcome::Failed {
-                    error: format!(
-                        "deleted row id {bad} out of range (dataset has {n_rows} rows)"
-                    ),
-                };
+            // Reject bad ids and encoded rows before anything mutates:
+            // encoding raw inserts grows the dictionaries, the engine
+            // indexes rows by these ids, and one huge label would size
+            // every later per-label table. Raw rows get their labels from
+            // the dictionaries, which stay within the bound.
+            let encoded_inserts = match inserts {
+                RowsSpec::Encoded(rows) => rows.as_slice(),
+                RowsSpec::Raw(_) => &[],
+            };
+            if let Err(error) = ds.snapshot().0.check_delta(encoded_inserts, deletes) {
+                return JobOutcome::Failed { error };
             }
             let encoded = match inserts {
                 RowsSpec::Encoded(rows) => rows.clone(),
@@ -828,6 +830,38 @@ mod tests {
         assert!(lock(&handle).memoized_keys().is_none());
         assert_eq!(ask(), (1, keys1.clone(), count1));
         assert_eq!(ask(), (1, keys1, count1));
+    }
+
+    #[test]
+    fn delta_with_an_oversized_label_fails_without_mutating() {
+        let _serial = crate::server_test_lock();
+        let server = Server::start_default();
+        server.register_relation("t", tiny()).expect("register");
+        let session = server.session();
+        let info = |server: &Server| {
+            let d = server.shared.catalog.info("t").expect("registered");
+            (d.version, d.rows, d.fd_count)
+        };
+        let before = info(&server);
+        let delta = Request::Delta {
+            dataset: "t".into(),
+            inserts: RowsSpec::Encoded(vec![vec![0, u32::MAX - 1, 0]]),
+            deletes: vec![0],
+        };
+        match &session.run(delta).outcome {
+            JobOutcome::Failed { error } => {
+                assert!(error.contains("label 4294967294 on column 1"), "{error}")
+            }
+            other => panic!("delta -> {other:?}"),
+        }
+        assert_eq!(info(&server), before);
+        // The dataset still takes a well-formed delta afterwards.
+        let ok = Request::Delta {
+            dataset: "t".into(),
+            inserts: RowsSpec::Encoded(vec![vec![4, 2, 0]]),
+            deletes: vec![0],
+        };
+        assert!(matches!(session.run(ok).outcome, JobOutcome::DeltaApplied { version: 1, .. }));
     }
 
     #[test]

@@ -78,6 +78,16 @@ cargo test -q -p fd-server --lib jobs::tests::a_blocked_waiter_keeps_a_claimed_o
 cargo test -q -p fd-server --lib server::tests::cancelled_job_never_mutates_the_result_cache
 cargo test -q -p fd-server --features telemetry --lib server::tests::server_counters_join_the_snapshot
 cargo test -q -p eulerfd --test proptests delta_engine_fd_count_matches_materialized_cover
+# Delta-cost gate: the engine's patched row mirror and support multiset
+# match a rebuild after random waves, the dense-slot pair enumeration
+# reports each pair touching the delta exactly once, non-fresh masks see
+# labels past the old bound and repeats within a batch, and an oversized
+# encoded label is refused before the dataset mutates.
+cargo test -q -p eulerfd --lib incremental::tests::mirror_and_support_track_random_waves
+cargo test -q -p eulerfd --lib incremental::tests::pair_enumeration_reports_each_qualifying_pair_once
+cargo test -q -p fd-relation --lib relation::tests::nonfresh_masks_see_labels_past_the_old_bound_and_repeats_in_the_batch
+cargo test -q -p fd-relation --lib relation::tests::check_delta_rejects_what_apply_delta_cannot_take
+cargo test -q -p fd-server --lib server::tests::delta_with_an_oversized_label_fails_without_mutating
 cargo clippy --workspace -- -D warnings -A clippy::needless_range_loop
 
 # The benchmark (fdbench/, its own workspace) must keep compiling against
