@@ -173,7 +173,7 @@ impl EulerFd {
                 None => Sampler::new(relation, &self.config),
             };
             termination = sampler
-                .initial_pass_budgeted(relation, &mut ncover, &mut pending, budget)
+                .initial_pass_budgeted(&mut ncover, &mut pending, budget)
                 .unwrap_or_default();
         }
 
@@ -205,22 +205,25 @@ impl EulerFd {
                 loop {
                     let size_before = ncover.len();
                     let adds_before = ncover.insertions();
-                    let mut sampled_any = false;
-                    for _ in 0..batch {
-                        // Budget checkpoint: one poll per sampling step. A
-                        // step is a full window pass over one cluster, so the
-                        // poll is amortized over at least one pair comparison.
-                        if let Some(t) = budget
-                            .poll(sampler.stats().pairs_compared, ncover.len() + pcover.len())
-                        {
+                    let mut steps = 0;
+                    while steps < batch {
+                        // Budget checkpoint: the sampler polls once per
+                        // sampling step, before the step's fold. A step is a
+                        // full window pass over one cluster, so the poll is
+                        // amortized over at least one pair comparison.
+                        let poll = |pairs, n: usize| budget.poll(pairs, n + pcover.len());
+                        let (folded, trip) =
+                            sampler.sample_batch(&mut ncover, &mut pending, batch - steps, poll);
+                        if let Some(t) = trip {
                             termination = t;
                             break 'run; // the span records on drop
                         }
-                        if !sampler.sample_next(relation, &mut ncover, &mut pending) {
+                        if folded == 0 {
                             break;
                         }
-                        sampled_any = true;
+                        steps += folded;
                     }
+                    let sampled_any = steps > 0;
                     let added = ncover.insertions() - adds_before;
                     let gr = added as f64 / size_before.max(1) as f64;
                     report.gr_ncover.push(gr);

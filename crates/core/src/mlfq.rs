@@ -99,13 +99,29 @@ impl Mlfq {
     /// Dequeues the head of the highest-priority non-empty queue
     /// (Algorithm 1 lines 6–10).
     pub fn pop(&mut self) -> Option<ClusterId> {
-        for q in &mut self.queues {
-            if let Some(c) = q.pop_front() {
-                self.len -= 1;
-                return Some(c);
-            }
+        self.pop_from(self.head_queue()?)
+    }
+
+    /// The highest-priority non-empty queue: the one [`Mlfq::pop`] drains.
+    pub fn head_queue(&self) -> Option<usize> {
+        self.queues.iter().position(|q| !q.is_empty())
+    }
+
+    /// Dequeues the head of queue `q`.
+    pub fn pop_from(&mut self, q: usize) -> Option<ClusterId> {
+        let cluster = self.queues[q].pop_front()?;
+        self.len -= 1;
+        Some(cluster)
+    }
+
+    /// Puts `clusters`, just dequeued from queue `q`, back at its front in
+    /// their order, as if they had never left: no promotion or demotion
+    /// is counted.
+    pub fn restore_front(&mut self, q: usize, clusters: &[ClusterId]) {
+        for &cluster in clusters.iter().rev() {
+            self.queues[q].push_front(cluster);
         }
-        None
+        self.len += clusters.len();
     }
 
     /// Occupancy per queue, highest priority first (diagnostics).
@@ -179,6 +195,23 @@ mod tests {
         assert_eq!(q.pop(), Some(1));
         q.push(1, 0.0); // highest → lowest
         assert_eq!((q.promotions(), q.demotions()), (1, 1));
+    }
+
+    #[test]
+    fn restored_clusters_pop_again_in_their_order() {
+        let mut q = Mlfq::new(mlfq_ranges(3));
+        for id in 1..=4 {
+            q.push(id, 2.0);
+        }
+        assert_eq!(q.head_queue(), Some(1));
+        let taken = [q.pop_from(1).unwrap(), q.pop_from(1).unwrap(), q.pop_from(1).unwrap()];
+        assert_eq!(taken, [1, 2, 3]);
+        q.push(1, 50.0); // the first one is promoted
+        q.restore_front(1, &taken[1..]);
+        assert_eq!(q.len(), 4);
+        assert_eq!((q.promotions(), q.demotions()), (1, 0));
+        assert_eq!([q.pop(), q.pop(), q.pop(), q.pop()], [Some(1), Some(2), Some(3), Some(4)]);
+        assert_eq!(q.head_queue(), None);
     }
 
     #[test]

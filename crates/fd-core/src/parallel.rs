@@ -136,6 +136,21 @@ pub fn decide(work_items: usize, cost_hint: u64, threads: usize) -> usize {
     threads.min(work_items).min(usize::try_from(by_cost).unwrap_or(usize::MAX))
 }
 
+/// The inverse of [`decide`]: the fewest work items of cost `cost_hint` for
+/// which `decide` grants all `threads` workers (1 when `threads <= 1`).
+///
+/// A caller that can merge small batches — the EulerFD sampler plans several
+/// window steps into one compare — fills a batch up to this size, so the
+/// merged batch engages every worker without growing past what they need.
+pub fn saturating_items(cost_hint: u64, threads: usize) -> usize {
+    if threads <= 1 {
+        return 1;
+    }
+    let units = (threads as u64).saturating_mul(MIN_UNITS_PER_WORKER);
+    let by_cost = units.div_ceil(cost_hint.max(1));
+    usize::try_from(by_cost).unwrap_or(usize::MAX).max(threads)
+}
+
 /// [`decide`] with a call-site histogram: records the chosen worker count
 /// into `histogram` (by convention `parallel.workers.<site>`) when telemetry
 /// is enabled, so a run's snapshot shows where the policy engaged
@@ -174,7 +189,8 @@ pub struct StealStats {
 }
 
 /// Runs `run_chunk(i)` for every `i in 0..n_chunks` on up to `workers`
-/// scoped threads, with chunk indices handed out by an atomic claim cursor:
+/// workers — the caller plus `workers - 1` scoped threads — with chunk
+/// indices handed out by an atomic claim cursor:
 /// a worker finishing its chunk immediately steals the next unclaimed index,
 /// so skewed per-chunk costs no longer idle workers the way a fixed
 /// `div_ceil` split did.
@@ -217,50 +233,52 @@ where
     // outside a worker's static share count as steals.
     let static_share = n_chunks.div_ceil(workers).max(1);
     let scope_start = Instant::now();
+    // One worker's claim loop; returns its time inside `run_chunk`.
+    let work = |w: usize| {
+        let mut steals = 0u64;
+        let mut busy = std::time::Duration::ZERO;
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= n_chunks {
+                break;
+            }
+            if i / static_share != w {
+                steals += 1;
+            }
+            // A delay here stalls one worker and lets the claim cursor
+            // rebalance the remaining chunks; a panic on a spawned worker
+            // is re-raised on the caller's thread by the join below.
+            let _ = fd_faults::inject!("parallel.worker");
+            if telemetry {
+                let t0 = Instant::now();
+                run_chunk(i);
+                busy += t0.elapsed();
+            } else {
+                run_chunk(i);
+            }
+        }
+        steal_total.fetch_add(steals, Ordering::Relaxed);
+        busy
+    };
+    let record_busy = |busy: std::time::Duration| {
+        if telemetry {
+            let wall = scope_start.elapsed().as_secs_f64().max(1e-9);
+            let pct = ((busy.as_secs_f64() / wall) * 100.0).min(100.0) as u64;
+            fd_telemetry::registry().observe_by_name(&format!("parallel.busy_pct.{site}"), pct);
+        }
+    };
+    // The caller is worker 0: a spawn costs tens of microseconds, about
+    // what a second worker saves on the smallest batch `decide` splits, so
+    // only the other workers get a thread of their own.
     std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let cursor = &cursor;
-                let steal_total = &steal_total;
-                let run_chunk = &run_chunk;
-                s.spawn(move || {
-                    let mut steals = 0u64;
-                    let mut busy = std::time::Duration::ZERO;
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n_chunks {
-                            break;
-                        }
-                        if i / static_share != w {
-                            steals += 1;
-                        }
-                        // A delay here stalls one worker and lets the claim
-                        // cursor rebalance the remaining chunks; a panic is
-                        // re-raised on the caller's thread by the join below.
-                        let _ = fd_faults::inject!("parallel.worker");
-                        if telemetry {
-                            let t0 = Instant::now();
-                            run_chunk(i);
-                            busy += t0.elapsed();
-                        } else {
-                            run_chunk(i);
-                        }
-                    }
-                    steal_total.fetch_add(steals, Ordering::Relaxed);
-                    busy
-                })
-            })
-            .collect();
+        let work = &work;
+        let handles: Vec<_> = (1..workers).map(|w| s.spawn(move || work(w))).collect();
+        record_busy(work(0));
         for handle in handles {
             let busy = handle
                 .join()
                 .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-            if telemetry {
-                let wall = scope_start.elapsed().as_secs_f64().max(1e-9);
-                let pct = ((busy.as_secs_f64() / wall) * 100.0).min(100.0) as u64;
-                fd_telemetry::registry()
-                    .observe_by_name(&format!("parallel.busy_pct.{site}"), pct);
-            }
+            record_busy(busy);
         }
     });
     let stats = StealStats {
@@ -428,6 +446,19 @@ mod tests {
     #[test]
     fn zero_cost_hint_is_treated_as_one_unit() {
         assert_eq!(decide(1 << 20, 0, 4), 4);
+    }
+
+    #[test]
+    fn saturating_items_is_the_smallest_full_width_batch() {
+        assert_eq!(saturating_items(9, 1), 1);
+        assert_eq!(saturating_items(9, 0), 1);
+        // Abalone's width 9 at 2 threads: 2 × 64Ki / 9, rounded up.
+        assert_eq!(saturating_items(9, 2), 14_564);
+        for (cost, threads) in [(9, 2), (16, 8), (1, 4), (0, 3), (u64::MAX, 8), (63, 5)] {
+            let n = saturating_items(cost, threads);
+            assert_eq!(decide(n, cost, threads), threads, "cost={cost} threads={threads}");
+            assert!(decide(n - 1, cost, threads) < threads, "cost={cost} threads={threads}");
+        }
     }
 
     #[test]

@@ -462,7 +462,9 @@ impl RowMajor {
     /// The comparison kernel of the sampling module: computes the agree set
     /// of every pair and keeps only *novel* ones — not present in `seen`
     /// (a read-only snapshot of the caller's dedup set) and not repeated
-    /// within the pair chunk that produced it.
+    /// within the pair chunk that produced it. Each set comes tagged with
+    /// the index in `pairs` of the pair that produced it, so a caller that
+    /// packed several steps into one batch can hand each step its own sets.
     ///
     /// The returned sets preserve pair order (chunks are concatenated in
     /// plan order, never completion order). A set straddling two chunks
@@ -474,14 +476,20 @@ impl RowMajor {
         pairs: &[(RowId, RowId)],
         seen: &FastHashSet<AttrSet>,
         threads: usize,
-    ) -> (Vec<AttrSet>, BatchStats) {
+    ) -> (Vec<(usize, AttrSet)>, BatchStats) {
         let workers = self.plan_workers(pairs.len(), threads);
         let mut out = Vec::new();
+        let chunks = fd_core::parallel::chunks(pairs, workers, MIN_PAIRS_PER_CHUNK, |_| 1)
+            .scan(0, |offset, chunk| {
+                let start = *offset;
+                *offset += chunk.len();
+                Some((start, chunk))
+            });
         let steal = fd_core::parallel::map_ordered(
             "pair_compare",
             workers,
-            fd_core::parallel::chunks(pairs, workers, MIN_PAIRS_PER_CHUNK, |_| 1),
-            |chunk| self.novel_chunk(chunk, seen),
+            chunks,
+            |(start, chunk)| self.novel_chunk(start, chunk, seen),
             |novel| fd_core::parallel::concat_chunk(&mut out, novel),
         );
         let stats = BatchStats {
@@ -492,17 +500,29 @@ impl RowMajor {
         (out, stats)
     }
 
-    /// One chunk's share of [`RowMajor::novel_agree_sets`].
-    fn novel_chunk(&self, pairs: &[(RowId, RowId)], seen: &FastHashSet<AttrSet>) -> Vec<AttrSet> {
+    /// One chunk's share of [`RowMajor::novel_agree_sets`]; the chunk
+    /// starts at index `start` of the whole batch.
+    fn novel_chunk(
+        &self,
+        start: usize,
+        pairs: &[(RowId, RowId)],
+        seen: &FastHashSet<AttrSet>,
+    ) -> Vec<(usize, AttrSet)> {
         let mut local: FastHashSet<AttrSet> = FastHashSet::default();
         let mut out = Vec::new();
-        for &(t, u) in pairs {
+        for (i, &(t, u)) in pairs.iter().enumerate() {
             let agree = self.agree_set(t, u);
             if !seen.contains(&agree) && local.insert(agree) {
-                out.push(agree);
+                out.push((start + i, agree));
             }
         }
         out
+    }
+
+    /// The fewest pairs a compare batch needs before the shared policy
+    /// engages all `threads` workers on it (1 when `threads <= 1`).
+    pub fn full_width_pairs(&self, threads: usize) -> usize {
+        fd_core::parallel::saturating_items(self.width as u64, threads)
     }
 
     /// Number of workers a batch of `pairs` merits under `threads`, per the

@@ -569,12 +569,20 @@ fn novel_agree_sets_fold_matches_sequential_novelty_scan() {
         if threads >= 4 {
             assert!(stats.workers >= 2, "expected multiple workers at threads={threads}");
         }
+        // Each set is tagged with the pair that produced it, in pair order.
+        for window in candidates.windows(2) {
+            assert!(window[0].0 < window[1].0, "threads={threads}");
+        }
+        for &(pair, agree) in &candidates {
+            let (t, u) = pairs[pair];
+            assert_eq!(relation.agree_set(t, u), agree, "threads={threads}");
+        }
         // A set straddling worker chunks may appear once per chunk; the
         // sequential fold collapses those, and the folded order must equal
         // the global first-occurrence order.
         let mut fold_seen = seen.clone();
         let mut folded: Vec<AttrSet> = Vec::new();
-        for agree in candidates {
+        for (_, agree) in candidates {
             if fold_seen.insert(agree) {
                 folded.push(agree);
             }

@@ -53,6 +53,13 @@ cargo test -q -p fd-relation --test proptests
 cargo test -q -p fd-relation --test proptests packed_kernel_matches_scalar_reference
 cargo test -q -p fd-relation --test proptests novel_agree_sets_fold_matches_sequential_novelty_scan
 cargo test -q -p fd-core --lib parallel::
+# Batched-sampler gate: a compare batch of many window steps must fold
+# exactly the steps one step at a time would (a cluster promoted mid-batch
+# is sampled before the planned tail; a tail cut by the step bound returns
+# to its queue), and a pair cap must stop abalone 20 000 at the same step,
+# pair count and FD set at 1 and 2 threads.
+cargo test -q -p eulerfd --lib sampler::tests::batches_fold_the_steps_one_step_at_a_time_would
+cargo test -q --test determinism pair_budget_trips_identically_at_every_thread_count
 # One-fan-out gate: every kernel runs through `parallel::map_ordered`, so the
 # agree-set budget caps must trip at every thread count and Tane must return
 # the same FD set (and honour a cancelled token) at 1, 2 and 4 threads.
@@ -97,7 +104,8 @@ cargo build --release --offline --manifest-path fdbench/Cargo.toml
 # Multi-core scaling gate (tests/gates.rs, lineitem 30k rows): packed-kernel
 # speedup tripwire, byte-identical discovery output across worker counts,
 # and (only when the host has >= 2 cores; auto-skipped on 1-core hosts) a
-# 2-worker sampling-throughput floor of 1.2x.
+# 2-worker throughput floor of 1.2x for `agree_sets_batch` over fixed
+# scattered pairs.
 cargo test -q --release --test gates scaling_gate -- --ignored --nocapture
 
 # Delta-maintenance gate (opt-in, tests/gates.rs, lineitem 8k rows):

@@ -5,6 +5,7 @@
 
 use eulerfd_suite::algo::{EulerFd, EulerFdConfig};
 use eulerfd_suite::baselines::{AidFd, HyFd};
+use eulerfd_suite::core::{Budget, Termination};
 use eulerfd_suite::relation::synth::{self, FleetSpec};
 use eulerfd_suite::relation::FdAlgorithm;
 
@@ -77,6 +78,28 @@ fn thread_count_is_invisible_in_the_result() {
                 "parallel compare path never engaged at threads={threads}"
             );
         }
+    }
+}
+
+#[test]
+fn pair_budget_trips_identically_at_every_thread_count() {
+    // A pair cap is polled once per sampling step, and a compare batch of
+    // many steps folds and counts them one at a time, so the cap must stop
+    // the run at the same step — same reason, pair count and partial FD
+    // set — whether or not the batches fan out.
+    let relation = synth::dataset_spec("abalone").unwrap().generate(20_000);
+    let run = |threads: usize| {
+        EulerFd::with_config(EulerFdConfig::default().with_threads(threads))
+            .discover_budgeted(&relation, &Budget::unlimited().pair_cap(1_000_000))
+    };
+    let (base_fds, base_rep) = run(1);
+    assert_eq!(base_rep.termination, Termination::PairBudget);
+    let (fds, rep) = run(2);
+    assert_eq!(rep.termination, base_rep.termination);
+    assert_eq!(rep.sampler.pairs_compared, base_rep.sampler.pairs_compared);
+    assert_eq!(fds, base_fds, "partial FdSet diverged at threads=2");
+    if fd_core::available_cores() >= 2 {
+        assert!(rep.sampler.peak_workers >= 2, "parallel compare path never engaged at threads=2");
     }
 }
 
