@@ -3,12 +3,16 @@
 //! FD discovery tooling conventionally consumes CSV (the Metanome benchmark
 //! corpus the paper evaluates on is distributed as CSV), so the substrate
 //! includes a dependency-free parser: quoted fields, embedded separators,
-//! doubled-quote escapes, and both `\n` and `\r\n` row terminators.
+//! doubled-quote escapes, and both `\n` and `\r\n` row terminators. One
+//! parser loop serves every reader and encodes each cell straight from its
+//! row buffer through the [`ColumnDictionaries`], so a cell costs a scan and
+//! a dictionary probe.
 
-use crate::relation::{Relation, RelationBuilder};
+use crate::dictionary::ColumnDictionaries;
+use crate::relation::{NullLabeling, Relation, RelationBuilder};
 use std::fmt;
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufWriter, Read, Write};
 use std::path::Path;
 
 /// CSV parsing failure with row context.
@@ -149,7 +153,8 @@ pub struct RowIssue {
 /// intact.
 #[derive(Clone, Debug, Default)]
 pub struct IngestReport {
-    /// Data rows read from the input (excluding the header).
+    /// Data rows read from the input (excluding the header and blank
+    /// lines).
     pub rows_read: usize,
     /// Data rows that ended up in the relation.
     pub rows_kept: usize,
@@ -172,8 +177,7 @@ pub fn read_csv_file_with_report(
         .file_stem()
         .map(|s| s.to_string_lossy().into_owned())
         .unwrap_or_else(|| "csv".to_owned());
-    // The raw file goes straight in: read_csv_with_report adds the single
-    // BufReader layer.
+    // The raw file goes straight in: the parser buffers its own reads.
     let file = File::open(path)?;
     read_csv_with_report(file, &name, options)
 }
@@ -203,12 +207,14 @@ pub fn read_csv_with_report<R: Read>(
 /// [`read_csv_with_report`] that also keeps the per-column dictionaries
 /// alive, so delta rows arriving later (e.g. via `fdtool --delta-csv`) can
 /// be encoded consistently with the base table — known values map to their
-/// old labels, unseen values get fresh ones.
+/// old labels, unseen values get fresh ones. The dictionaries remember
+/// `options`' null token and policy for
+/// [`ColumnDictionaries::encode_csv_row`].
 pub fn read_csv_with_dictionaries<R: Read>(
     reader: R,
     name: &str,
     options: &CsvOptions,
-) -> Result<(Relation, crate::delta::ColumnDictionaries, IngestReport), CsvError> {
+) -> Result<(Relation, ColumnDictionaries, IngestReport), CsvError> {
     let (builder, report) = ingest(reader, name, options)?;
     let (relation, dicts) = builder.finish_with_dictionaries();
     Ok((relation, dicts, report))
@@ -218,7 +224,7 @@ pub fn read_csv_with_dictionaries<R: Read>(
 pub fn read_csv_file_with_dictionaries(
     path: impl AsRef<Path>,
     options: &CsvOptions,
-) -> Result<(Relation, crate::delta::ColumnDictionaries, IngestReport), CsvError> {
+) -> Result<(Relation, ColumnDictionaries, IngestReport), CsvError> {
     let path = path.as_ref();
     let name = path
         .file_stem()
@@ -230,58 +236,19 @@ pub fn read_csv_file_with_dictionaries(
 
 /// Reads raw string rows (header names + data rows) without encoding them
 /// into a relation — the delta-file reader: rows are handed to
-/// [`crate::ColumnDictionaries::encode_nullable_row`] against an existing
-/// base table instead of a fresh builder. Honours the separator, header,
-/// and ragged-row policy of `options`; null detection is left to the
-/// caller, who knows the base table's null convention.
+/// [`ColumnDictionaries::encode_csv_row`] against an existing base table,
+/// which applies the base table's null convention. Honours the separator,
+/// header, and ragged-row policy of `options`.
 pub fn read_csv_rows<R: Read>(
     reader: R,
     options: &CsvOptions,
 ) -> Result<(Vec<String>, Vec<Vec<String>>), CsvError> {
-    let mut rows = CsvRows::new(BufReader::new(reader), options.separator);
-    let first = match rows.next_row()? {
-        Some(row) => row,
-        None => return Err(CsvError::Empty),
-    };
-    let (names, mut pending): (Vec<String>, Option<Vec<String>>) = if options.has_header {
-        (first, None)
-    } else {
-        ((0..first.len()).map(|i| format!("col{i}")).collect(), Some(first))
-    };
-    let width = names.len();
+    let mut rows = Rows::new(reader, options)?;
     let mut out: Vec<Vec<String>> = Vec::new();
-    let mut row_no = 1usize;
-    loop {
-        let mut row = match pending.take() {
-            Some(r) => r,
-            None => match rows.next_row()? {
-                Some(r) => r,
-                None => break,
-            },
-        };
-        row_no += 1;
-        if row.len() != width {
-            match options.on_ragged {
-                RaggedPolicy::Error => {
-                    return Err(CsvError::RaggedRow {
-                        row: row_no,
-                        found: row.len(),
-                        expected: width,
-                    });
-                }
-                RaggedPolicy::Skip => continue,
-                RaggedPolicy::Pad => {
-                    if row.len() < width {
-                        row.resize(width, String::new());
-                    } else {
-                        row.truncate(width);
-                    }
-                }
-            }
-        }
-        out.push(row);
+    while rows.next_row()? {
+        out.push(rows.parser.fields().map(|f| field_str(f).to_owned()).collect());
     }
-    Ok((names, out))
+    Ok((rows.names, out))
 }
 
 /// [`read_csv_rows`] over a file path.
@@ -293,173 +260,319 @@ pub fn read_csv_rows_file(
     read_csv_rows(file, options)
 }
 
-/// Shared ingestion loop of the relation-producing readers: parses rows,
-/// applies the ragged-row policy, and encodes into a [`RelationBuilder`].
+/// Shared ingestion loop of the relation-producing readers: every kept row
+/// is encoded straight from the parser's row buffer into a
+/// [`RelationBuilder`] whose dictionaries remember the null convention.
 fn ingest<R: Read>(
     reader: R,
     name: &str,
     options: &CsvOptions,
 ) -> Result<(RelationBuilder, IngestReport), CsvError> {
-    let mut rows = CsvRows::new(BufReader::new(reader), options.separator);
-    let first = match rows.next_row()? {
-        Some(row) => row,
-        None => return Err(CsvError::Empty),
-    };
-    let (names, mut pending): (Vec<String>, Option<Vec<String>>) = if options.has_header {
-        (first, None)
-    } else {
-        ((0..first.len()).map(|i| format!("col{i}")).collect(), Some(first))
-    };
-    let width = names.len();
-    let mut builder = RelationBuilder::new(name, names);
+    let mut rows = Rows::new(reader, options)?;
     let labeling = match options.null_policy {
-        NullPolicy::NullEqualsNull => crate::relation::NullLabeling::Shared,
-        NullPolicy::NullNotEquals => crate::relation::NullLabeling::Distinct,
+        NullPolicy::NullEqualsNull => NullLabeling::Shared,
+        NullPolicy::NullNotEquals => NullLabeling::Distinct,
     };
-    let is_null = |field: &str| {
-        field.is_empty() || options.null_token.as_deref() == Some(field)
-    };
-    let mut report = IngestReport::default();
-    let mut row_no = 1usize;
-    loop {
-        let mut row = match pending.take() {
-            Some(r) => r,
-            None => match rows.next_row()? {
-                Some(r) => r,
-                None => break,
-            },
-        };
-        row_no += 1;
-        report.rows_read += 1;
-        // Chaos hook: an injected allocation failure surfaces as a clean
-        // `CsvError::Io(OutOfMemory)` — ingestion fails loudly and early
-        // rather than panicking or truncating the relation silently.
-        if fd_faults::inject!("csv.ingest") == Some(fd_faults::Injected::AllocFail) {
-            return Err(CsvError::Io(std::io::Error::new(
-                std::io::ErrorKind::OutOfMemory,
-                "fd-faults: injected allocation failure",
-            )));
+    let dicts =
+        ColumnDictionaries::new(rows.names.len(), options.null_token.as_deref(), labeling);
+    let mut builder = RelationBuilder::with_dictionaries(name, rows.names.clone(), dicts);
+    while rows.next_row()? {
+        builder.push_fields(rows.parser.fields());
+    }
+    Ok((builder, rows.report))
+}
+
+/// A field's text. Fields are UTF-8-checked when their record completes.
+fn field_str(field: &[u8]) -> &str {
+    std::str::from_utf8(field).expect("the parser validated every field")
+}
+
+/// The data rows of a CSV source: the header (or numbered column names),
+/// then each record the ragged-row policy keeps, at the header's width.
+struct Rows<R> {
+    parser: Parser<R>,
+    names: Vec<String>,
+    /// Headerless input: the first record is data and has not been handed
+    /// out yet.
+    pending: bool,
+    /// Added to the parser's record count to number a row: headerless input
+    /// numbers its first record 2, as if a header preceded it.
+    row_offset: usize,
+    on_ragged: RaggedPolicy,
+    report: IngestReport,
+}
+
+impl<R: Read> Rows<R> {
+    fn new(reader: R, options: &CsvOptions) -> Result<Self, CsvError> {
+        let mut parser = Parser::new(reader, options.separator)?;
+        if !parser.next_record()? {
+            return Err(CsvError::Empty);
         }
-        if row.len() != width {
-            let found = row.len();
-            match options.on_ragged {
-                RaggedPolicy::Error => {
-                    return Err(CsvError::RaggedRow { row: row_no, found, expected: width });
-                }
-                RaggedPolicy::Skip => {
-                    report.issues.push(RowIssue {
-                        row: row_no,
-                        found,
-                        expected: width,
-                        action: RowAction::Skipped,
-                    });
+        let names = if options.has_header {
+            parser.fields().map(|f| field_str(f).to_owned()).collect()
+        } else {
+            (0..parser.ends.len()).map(|i| format!("col{i}")).collect()
+        };
+        Ok(Rows {
+            parser,
+            names,
+            pending: !options.has_header,
+            row_offset: usize::from(!options.has_header),
+            on_ragged: options.on_ragged,
+            report: IngestReport::default(),
+        })
+    }
+
+    /// Advances to the next kept row, padded or truncated to the header's
+    /// width; false at the end of the input.
+    fn next_row(&mut self) -> Result<bool, CsvError> {
+        loop {
+            if !std::mem::take(&mut self.pending) && !self.parser.next_record()? {
+                return Ok(false);
+            }
+            let row = self.parser.records + self.row_offset;
+            self.report.rows_read += 1;
+            // Chaos hook: an injected allocation failure surfaces as a clean
+            // `CsvError::Io(OutOfMemory)` — ingestion fails loudly and early
+            // rather than panicking or truncating the relation silently.
+            if fd_faults::inject!("csv.ingest") == Some(fd_faults::Injected::AllocFail) {
+                return Err(CsvError::Io(std::io::Error::new(
+                    std::io::ErrorKind::OutOfMemory,
+                    "fd-faults: injected allocation failure",
+                )));
+            }
+            let (found, expected) = (self.parser.ends.len(), self.names.len());
+            if found != expected {
+                let action = match self.on_ragged {
+                    RaggedPolicy::Error => {
+                        return Err(CsvError::RaggedRow { row, found, expected });
+                    }
+                    RaggedPolicy::Skip => RowAction::Skipped,
+                    RaggedPolicy::Pad if found < expected => RowAction::Padded,
+                    RaggedPolicy::Pad => RowAction::Truncated,
+                };
+                self.report.issues.push(RowIssue { row, found, expected, action });
+                if action == RowAction::Skipped {
                     continue;
                 }
-                RaggedPolicy::Pad => {
-                    let action = if found < width {
-                        row.resize(width, String::new());
-                        RowAction::Padded
-                    } else {
-                        row.truncate(width);
-                        RowAction::Truncated
-                    };
-                    report.issues.push(RowIssue { row: row_no, found, expected: width, action });
-                }
+                self.parser.resize(expected);
             }
+            self.report.rows_kept += 1;
+            return Ok(true);
         }
-        let cells: Vec<Option<&str>> =
-            row.iter().map(|f| if is_null(f) { None } else { Some(f.as_str()) }).collect();
-        builder.push_nullable_row(&cells, labeling);
-        report.rows_kept += 1;
     }
-    Ok((builder, report))
 }
 
-/// Streaming CSV row reader over an already-buffered source (the callers add
-/// exactly one [`BufReader`] layer; stacking another here would double the
-/// copy on every line).
-struct CsvRows<R: BufRead> {
+/// Bytes read from the source per refill.
+const CHUNK: usize = 64 * 1024;
+
+/// The UTF-8 byte order mark, stripped once from the start of the input.
+const BOM: &[u8] = b"\xEF\xBB\xBF";
+
+/// Where the parser stands within the current field.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum State {
+    Unquoted,
+    Quoted,
+    /// A `"` inside quotes: doubled it is a literal quote, otherwise it
+    /// closed the quotes.
+    QuoteInQuotes,
+}
+
+/// The CSV record parser. One reusable row buffer holds the current
+/// record — every field's bytes back to back plus each field's end offset
+/// — so a record costs a scan of its bytes and, once the buffers are warm,
+/// no allocation.
+///
+/// The rules: fields split on the separator, records on `\n`, and `\r`s
+/// just before a line break (or the end of input) are part of it. A field
+/// that starts with `"` is quoted: separators and line breaks inside it are
+/// content, `""` is a literal quote, and every quoted byte is kept verbatim,
+/// `\r` included. A line that is empty outside quotes is skipped but still
+/// numbered. One leading byte order mark is dropped.
+struct Parser<R> {
     reader: R,
+    buf: Box<[u8]>,
+    /// `buf[pos..len]` is read but not yet parsed.
+    pos: usize,
+    len: usize,
     separator: u8,
-    row: usize,
-    done: bool,
+    /// The current record's field bytes, back to back.
+    bytes: Vec<u8>,
+    /// End offset in `bytes` of each field of the current record.
+    ends: Vec<usize>,
+    /// Line breaks consumed so far.
+    lines: usize,
+    /// Records consumed so far, skipped blank lines included.
+    records: usize,
 }
 
-impl<R: BufRead> CsvRows<R> {
-    fn new(reader: R, separator: u8) -> Self {
-        CsvRows { reader, separator, row: 0, done: false }
-    }
-
-    /// Returns the next logical row, honouring quotes that span lines.
-    ///
-    /// Fields accumulate as raw bytes and are decoded once complete, so
-    /// multi-byte UTF-8 sequences survive intact (pushing each byte as a
-    /// `char` would re-encode `é` as two mojibake characters).
-    fn next_row(&mut self) -> Result<Option<Vec<String>>, CsvError> {
-        if self.done {
-            return Ok(None);
-        }
-        let mut fields: Vec<String> = Vec::new();
-        let mut field = Vec::new();
-        let mut in_quotes = false;
-        let mut saw_any = false;
-        let start_row = self.row + 1;
-        loop {
-            let mut line = Vec::new();
-            let n = self.reader.read_until(b'\n', &mut line)?;
+impl<R: Read> Parser<R> {
+    fn new(reader: R, separator: u8) -> Result<Self, CsvError> {
+        let mut parser = Parser {
+            reader,
+            buf: vec![0; CHUNK].into_boxed_slice(),
+            pos: 0,
+            len: 0,
+            separator,
+            bytes: Vec::new(),
+            ends: Vec::new(),
+            lines: 0,
+            records: 0,
+        };
+        while parser.len < BOM.len() {
+            let n = read_retrying(&mut parser.reader, &mut parser.buf[parser.len..])?;
             if n == 0 {
-                self.done = true;
-                if in_quotes {
-                    return Err(CsvError::UnterminatedQuote { row: start_row });
-                }
-                if !saw_any {
-                    return Ok(None);
-                }
-                fields.push(finish_field(&mut field, start_row)?);
-                return Ok(Some(fields));
+                break;
             }
-            self.row += 1;
-            saw_any = true;
-            // Strip the terminator(s).
-            while line.last() == Some(&b'\n') || line.last() == Some(&b'\r') {
-                line.pop();
+            parser.len += n;
+        }
+        if parser.buf[..parser.len].starts_with(BOM) {
+            parser.pos = BOM.len();
+        }
+        Ok(parser)
+    }
+
+    /// The current record's fields.
+    fn fields(&self) -> impl Iterator<Item = &[u8]> + '_ {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let field = &self.bytes[start..end];
+            start = end;
+            field
+        })
+    }
+
+    /// Pads the current record with empty fields, or cuts it, to `width`.
+    fn resize(&mut self, width: usize) {
+        self.ends.resize(width, self.bytes.len());
+        self.bytes.truncate(self.ends.last().copied().unwrap_or(0));
+    }
+
+    /// Parses the next record into the row buffer; false at the end of the
+    /// input.
+    fn next_record(&mut self) -> Result<bool, CsvError> {
+        self.bytes.clear();
+        self.ends.clear();
+        let mut start_line = self.lines + 1;
+        let mut state = State::Unquoted;
+        // Bytes below `keep` are never trimmed as a line break's `\r`: the
+        // current field's start, or where its quotes last closed.
+        let mut keep = 0;
+        let mut quoted = false;
+        loop {
+            if self.pos == self.len {
+                self.pos = 0;
+                self.len = read_retrying(&mut self.reader, &mut self.buf)?;
+                if self.len == 0 {
+                    break;
+                }
             }
-            let mut bytes = line.iter().copied().peekable();
-            while let Some(b) = bytes.next() {
-                if in_quotes {
-                    if b == b'"' {
-                        if bytes.peek() == Some(&b'"') {
-                            bytes.next();
-                            field.push(b'"');
-                        } else {
-                            in_quotes = false;
-                        }
-                    } else {
-                        field.push(b);
+            let chunk = &self.buf[self.pos..self.len];
+            match state {
+                State::Quoted => {
+                    let run = chunk.iter().position(|&b| b == b'"').unwrap_or(chunk.len());
+                    self.lines += chunk[..run].iter().filter(|&&b| b == b'\n').count();
+                    self.bytes.extend_from_slice(&chunk[..run]);
+                    self.pos += run;
+                    if run < chunk.len() {
+                        self.pos += 1;
+                        state = State::QuoteInQuotes;
                     }
-                } else if b == b'"' && field.is_empty() {
-                    in_quotes = true;
-                } else if b == self.separator {
-                    fields.push(finish_field(&mut field, start_row)?);
-                } else {
-                    field.push(b);
+                }
+                State::QuoteInQuotes => {
+                    if chunk[0] == b'"' {
+                        self.bytes.push(b'"');
+                        self.pos += 1;
+                        state = State::Quoted;
+                    } else {
+                        keep = self.bytes.len();
+                        state = State::Unquoted;
+                    }
+                }
+                State::Unquoted => {
+                    let sep = self.separator;
+                    let Some(run) =
+                        chunk.iter().position(|&b| b == b'\n' || b == b'"' || b == sep)
+                    else {
+                        self.bytes.extend_from_slice(chunk);
+                        self.pos = self.len;
+                        continue;
+                    };
+                    self.bytes.extend_from_slice(&chunk[..run]);
+                    let b = chunk[run];
+                    self.pos += run + 1;
+                    let field_start = self.ends.last().copied().unwrap_or(0);
+                    if b == b'\n' {
+                        self.lines += 1;
+                        self.trim_cr(keep);
+                        if self.ends.is_empty() && self.bytes.is_empty() && !quoted {
+                            // A blank line: numbered, but no record.
+                            self.records += 1;
+                            start_line = self.lines + 1;
+                            continue;
+                        }
+                        return self.complete(start_line).map(|()| true);
+                    } else if b == b'"' && self.bytes.len() == field_start {
+                        state = State::Quoted;
+                        quoted = true;
+                    } else if b == sep {
+                        self.ends.push(self.bytes.len());
+                        keep = self.bytes.len();
+                    } else {
+                        self.bytes.push(b);
+                    }
                 }
             }
-            if in_quotes {
-                // Quoted field continues on the next physical line.
-                field.push(b'\n');
-                continue;
+        }
+        match state {
+            State::Quoted => {
+                self.check_utf8(start_line)?;
+                return Err(CsvError::UnterminatedQuote { row: start_line });
             }
-            fields.push(finish_field(&mut field, start_row)?);
-            return Ok(Some(fields));
+            State::QuoteInQuotes => keep = self.bytes.len(),
+            State::Unquoted => {}
+        }
+        self.trim_cr(keep);
+        if self.ends.is_empty() && self.bytes.is_empty() && !quoted {
+            return Ok(false);
+        }
+        self.complete(start_line).map(|()| true)
+    }
+
+    /// Drops the `\r`s that end the current field beyond offset `keep`.
+    fn trim_cr(&mut self, keep: usize) {
+        while self.bytes.len() > keep && self.bytes.last() == Some(&b'\r') {
+            self.bytes.pop();
+        }
+    }
+
+    /// Closes the current record's last field and checks its encoding.
+    fn complete(&mut self, start_line: usize) -> Result<(), CsvError> {
+        self.ends.push(self.bytes.len());
+        self.records += 1;
+        self.check_utf8(start_line)
+    }
+
+    /// Fails with [`CsvError::InvalidUtf8`], numbered by the line the
+    /// record started on, unless every closed field is UTF-8.
+    fn check_utf8(&self, start_line: usize) -> Result<(), CsvError> {
+        if self.bytes.is_ascii() || self.fields().all(|f| std::str::from_utf8(f).is_ok()) {
+            Ok(())
+        } else {
+            Err(CsvError::InvalidUtf8 { row: start_line })
         }
     }
 }
 
-/// Decodes a completed field's bytes, mapping bad encodings to
-/// [`CsvError::InvalidUtf8`] with the row the logical record started on.
-fn finish_field(field: &mut Vec<u8>, row: usize) -> Result<String, CsvError> {
-    String::from_utf8(std::mem::take(field)).map_err(|_| CsvError::InvalidUtf8 { row })
+/// [`Read::read`] that retries on [`io::ErrorKind::Interrupted`].
+fn read_retrying(reader: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
+    loop {
+        match reader.read(buf) {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            result => return result,
+        }
+    }
 }
 
 /// Writes raw string rows as CSV, quoting fields when needed. Used by the
@@ -471,33 +584,49 @@ pub fn write_csv<W: Write>(
     separator: u8,
 ) -> io::Result<()> {
     let mut w = BufWriter::new(writer);
-    write_row(&mut w, header.iter().map(|s| s.as_str()), separator)?;
+    let mut line = Vec::new();
+    write_row(&mut w, &mut line, header, separator)?;
     for row in rows {
-        write_row(&mut w, row.iter().map(|s| s.as_str()), separator)?;
+        write_row(&mut w, &mut line, &row, separator)?;
     }
     w.flush()
 }
 
-fn write_row<'a, W: Write>(
+/// Writes one record, assembled in the reusable `line` buffer so the writer
+/// sees one call per row.
+fn write_row<W: Write>(
     w: &mut W,
-    fields: impl Iterator<Item = &'a str>,
+    line: &mut Vec<u8>,
+    fields: &[String],
     separator: u8,
 ) -> io::Result<()> {
-    let mut first = true;
-    for f in fields {
-        if !first {
-            w.write_all(&[separator])?;
-        }
-        first = false;
-        let needs_quotes =
-            f.bytes().any(|b| b == separator || b == b'"' || b == b'\n' || b == b'\r');
-        if needs_quotes {
-            write!(w, "\"{}\"", f.replace('"', "\"\""))?;
-        } else {
-            w.write_all(f.as_bytes())?;
+    line.clear();
+    match fields {
+        // Unquoted, a lone empty field would be a blank line, which readers
+        // skip.
+        [only] if only.is_empty() => line.extend_from_slice(b"\"\""),
+        _ => {
+            for (i, f) in fields.iter().enumerate() {
+                if i > 0 {
+                    line.push(separator);
+                }
+                if f.bytes().any(|b| b == separator || b == b'"' || b == b'\n' || b == b'\r') {
+                    line.push(b'"');
+                    for b in f.bytes() {
+                        if b == b'"' {
+                            line.push(b'"');
+                        }
+                        line.push(b);
+                    }
+                    line.push(b'"');
+                } else {
+                    line.extend_from_slice(f.as_bytes());
+                }
+            }
         }
     }
-    w.write_all(b"\n")
+    line.push(b'\n');
+    w.write_all(line)
 }
 
 #[cfg(test)]
@@ -548,6 +677,58 @@ mod tests {
         assert_eq!(r.n_rows(), 2);
         assert_eq!(r.n_distinct(0), 1);
         assert_eq!(r.n_distinct(1), 1);
+    }
+
+    #[test]
+    fn blank_lines_are_skipped_but_numbered() {
+        let r = parse("a,b\n1,2\n\n");
+        assert_eq!(r.n_rows(), 1);
+        let r = parse("a\n1\n2\n\r\n\n");
+        assert_eq!(r.n_rows(), 2);
+        assert_eq!(r.n_distinct(0), 2);
+        let err = read_csv("a,b\n1,2\n\n3\n".as_bytes(), "t", &CsvOptions::default()).unwrap_err();
+        assert!(matches!(err, CsvError::RaggedRow { row: 4, found: 1, .. }), "{err:?}");
+        // A quoted empty field is a row, not a blank line.
+        let r = parse("a\n\"\"\nx\n\"\"\n");
+        assert_eq!(r.n_rows(), 3);
+        assert_eq!(r.label(0, 0), r.label(2, 0));
+    }
+
+    #[test]
+    fn one_column_nulls_roundtrip() {
+        let rows = vec![vec![String::new()], vec!["x".to_string()], vec![String::new()]];
+        let mut buf = Vec::new();
+        write_csv(&mut buf, &["a".to_string()], rows.into_iter(), b',').unwrap();
+        assert_eq!(buf, b"a\n\"\"\nx\n\"\"\n");
+        let r = read_csv(&buf[..], "rt", &CsvOptions::default()).unwrap();
+        assert_eq!(r.column(0), &[0, 1, 0]);
+    }
+
+    #[test]
+    fn leading_byte_order_mark_is_stripped_once() {
+        let r = parse("\u{feff}a,b\n1,2\n");
+        assert_eq!(r.column_names(), &["a".to_string(), "b".into()]);
+        // The mark does not hide a quote that opens the first field.
+        let r = parse("\u{feff}\"a,1\",b\n1,2\n");
+        assert_eq!(r.column_names(), &["a,1".to_string(), "b".into()]);
+        // A mark split across reads is still found.
+        let split = (&b"\xEF"[..]).chain(&b"\xBB\xBFa\n1\n"[..]);
+        let r = read_csv(split, "t", &CsvOptions::default()).unwrap();
+        assert_eq!(r.column_names(), &["a".to_string()]);
+        // Only one mark, and only at the very start, is dropped.
+        let r = parse("\u{feff}\u{feff}a\n\u{feff}\n");
+        assert_eq!(r.column_names(), &["\u{feff}a".to_string()]);
+        assert_eq!(r.n_rows(), 1);
+    }
+
+    #[test]
+    fn quoted_line_breaks_keep_their_carriage_returns() {
+        let r = parse("a,b\n\"x\r\ny\",1\r\n\"x\ny\",2\r\n\"z\r\",3\r\n");
+        assert_eq!(r.n_rows(), 3);
+        assert_eq!(r.n_distinct(0), 3, "x\\r\\ny and x\\ny are distinct values");
+        let (_, rows) = read_csv_rows("a\n\"x\r\ny\"\n\"z\r\"".as_bytes(), &CsvOptions::default())
+            .unwrap();
+        assert_eq!(rows, vec![vec!["x\r\ny".to_string()], vec!["z\r".to_string()]]);
     }
 
     #[test]
@@ -712,13 +893,12 @@ mod tests {
     fn dictionaries_reader_matches_plain_reader_and_extends_labels() {
         let data = "a,b\nx,1\ny,2\nx,3\n";
         let plain = parse(data);
-        use crate::NullLabeling;
         let (r, mut dicts, report) =
             read_csv_with_dictionaries(data.as_bytes(), "test", &CsvOptions::default()).unwrap();
         assert_eq!(r, plain);
         assert_eq!(report.rows_kept, 3);
         // A delta row with one known and one unseen value.
-        let encoded = dicts.encode_nullable_row(&[Some("y"), Some("9")], NullLabeling::Shared);
+        let encoded = dicts.encode_csv_row(&["y", "9"]);
         assert_eq!(encoded[0], r.label(1, 0), "known value keeps its base label");
         assert_eq!(encoded[1] as usize, r.n_distinct(1), "unseen value gets the next label");
     }

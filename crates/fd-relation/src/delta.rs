@@ -10,18 +10,13 @@
 //! it: the incremental engine (`core::incremental`) uses the id lists to
 //! scope its pair enumeration, and the PLI cache uses the per-row
 //! "non-fresh attribute" masks to decide which derived partitions can
-//! survive the batch.
-//!
-//! [`ColumnDictionaries`] carries the string→label maps of a
-//! [`crate::RelationBuilder`] past `finish()`, so raw delta rows (e.g. from
-//! `fdtool --delta-csv`) can be encoded consistently with the base table:
-//! a value seen before maps to its old label, an unseen value gets a fresh
-//! one.
+//! survive the batch. Raw delta rows get their labels from the base table's
+//! [`crate::ColumnDictionaries`].
 //!
 //! [`Relation::apply_delta`]: crate::Relation::apply_delta
 
-use crate::relation::{NullLabeling, RowId};
-use fd_core::{AttrSet, FastHashMap};
+use crate::relation::RowId;
+use fd_core::AttrSet;
 
 /// The outcome of one [`Relation::apply_delta`] batch: which rows appeared
 /// and disappeared, and how the inserted labels relate to the surviving
@@ -90,90 +85,9 @@ impl RowDelta {
     }
 }
 
-/// The per-column string→label dictionaries of a finished
-/// [`crate::RelationBuilder`], kept alive so later raw rows encode
-/// consistently with the base table.
-#[derive(Clone, Debug)]
-pub struct ColumnDictionaries {
-    dictionaries: Vec<FastHashMap<String, u32>>,
-    shared_null: Vec<Option<u32>>,
-    next_label: Vec<u32>,
-}
-
-impl ColumnDictionaries {
-    pub(crate) fn new(
-        dictionaries: Vec<FastHashMap<String, u32>>,
-        shared_null: Vec<Option<u32>>,
-        next_label: Vec<u32>,
-    ) -> Self {
-        ColumnDictionaries { dictionaries, shared_null, next_label }
-    }
-
-    /// Number of columns the dictionaries cover.
-    pub fn n_attrs(&self) -> usize {
-        self.dictionaries.len()
-    }
-
-    /// Encodes one raw row, allocating fresh labels for unseen values.
-    ///
-    /// # Panics
-    /// Panics if the row width differs from the schema width.
-    pub fn encode_row<S: AsRef<str>>(&mut self, row: &[S]) -> Vec<u32> {
-        assert_eq!(row.len(), self.n_attrs(), "row width mismatch");
-        row.iter().enumerate().map(|(a, v)| self.encode(a, v.as_ref())).collect()
-    }
-
-    /// Encodes one raw row where `None` marks a missing value, labeled per
-    /// `labeling` exactly as [`crate::RelationBuilder::push_nullable_row`]
-    /// would have.
-    ///
-    /// # Panics
-    /// Panics if the row width differs from the schema width.
-    pub fn encode_nullable_row(
-        &mut self,
-        row: &[Option<&str>],
-        labeling: NullLabeling,
-    ) -> Vec<u32> {
-        assert_eq!(row.len(), self.n_attrs(), "row width mismatch");
-        row.iter()
-            .enumerate()
-            .map(|(a, value)| match value {
-                Some(v) => self.encode(a, v),
-                None => match labeling {
-                    NullLabeling::Shared => match self.shared_null[a] {
-                        Some(l) => l,
-                        None => {
-                            let l = self.fresh(a);
-                            self.shared_null[a] = Some(l);
-                            l
-                        }
-                    },
-                    NullLabeling::Distinct => self.fresh(a),
-                },
-            })
-            .collect()
-    }
-
-    fn encode(&mut self, a: usize, value: &str) -> u32 {
-        let next = self.next_label[a];
-        let label = *self.dictionaries[a].entry(value.to_owned()).or_insert(next);
-        if label == next {
-            self.next_label[a] += 1;
-        }
-        label
-    }
-
-    fn fresh(&mut self, a: usize) -> u32 {
-        let l = self.next_label[a];
-        self.next_label[a] += 1;
-        l
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RelationBuilder;
 
     #[test]
     fn row_remap_skips_deleted_ids() {
@@ -187,26 +101,5 @@ mod tests {
         assert_eq!(delta.row_remap(), vec![0, u32::MAX, 1, u32::MAX, 2]);
         assert!(!delta.is_empty());
         assert!(delta.changed_columns().is_empty());
-    }
-
-    #[test]
-    fn dictionaries_reuse_base_labels_and_allocate_fresh_ones() {
-        let mut b = RelationBuilder::new("t", vec!["x".into(), "y".into()]);
-        b.push_row(&["a", "p"]);
-        b.push_row(&["b", "q"]);
-        let (r, mut dicts) = b.finish_with_dictionaries();
-        assert_eq!(r.n_rows(), 2);
-        assert_eq!(dicts.n_attrs(), 2);
-        // Known values keep their labels; new values extend the range.
-        assert_eq!(dicts.encode_row(&["b", "p"]), vec![1, 0]);
-        assert_eq!(dicts.encode_row(&["c", "p"]), vec![2, 0]);
-        // Shared nulls allocate one label and stick to it.
-        let n1 = dicts.encode_nullable_row(&[None, Some("p")], NullLabeling::Shared);
-        let n2 = dicts.encode_nullable_row(&[None, Some("p")], NullLabeling::Shared);
-        assert_eq!(n1, n2);
-        // Distinct nulls never repeat.
-        let d1 = dicts.encode_nullable_row(&[None, Some("p")], NullLabeling::Distinct);
-        let d2 = dicts.encode_nullable_row(&[None, Some("p")], NullLabeling::Distinct);
-        assert_ne!(d1[0], d2[0]);
     }
 }

@@ -6,6 +6,8 @@
 //! * [`relation`] — dictionary-encoded relations ([`Relation`]) with
 //!   agree-set computation and full-instance FD verification;
 //! * [`csv`] — a dependency-free RFC-4180 CSV reader/writer;
+//! * [`dictionary`] — the value → label dictionaries every ingest path
+//!   encodes through;
 //! * [`partition`] — partitions, stripped partitions (Definitions 6–7),
 //!   partition products, and the sampler cluster population;
 //! * [`synth`] — seeded generators standing in for the paper's 19
@@ -29,6 +31,7 @@
 pub mod approx;
 pub mod csv;
 pub mod delta;
+pub mod dictionary;
 pub mod discovery;
 pub mod partition;
 pub mod pli_cache;
@@ -43,7 +46,8 @@ pub use csv::{
     write_csv, CsvError, CsvOptions, IngestReport, NullPolicy, RaggedPolicy, RowAction,
     RowIssue,
 };
-pub use delta::{ColumnDictionaries, RowDelta};
+pub use delta::RowDelta;
+pub use dictionary::ColumnDictionaries;
 pub use discovery::{verify_fds, FdAlgorithm};
 pub use partition::{sampling_clusters, sampling_clusters_parallel, Partition, ProductScratch};
 pub use pli_cache::{sampling_clusters_cached, MemoryPressure, PliCache, PliCacheStats};

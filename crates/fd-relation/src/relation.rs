@@ -8,7 +8,8 @@
 //! representation and the cache-friendly layout for the pairwise row
 //! comparisons that dominate discovery time.
 
-use crate::delta::{ColumnDictionaries, RowDelta};
+use crate::delta::RowDelta;
+use crate::dictionary::ColumnDictionaries;
 use fd_core::{AttrId, AttrSet, FastHashMap, FastHashSet, ATTR_WORDS, MAX_ATTRS};
 
 /// Identifier of a row (tuple) within a relation.
@@ -39,6 +40,22 @@ impl Relation {
         column_names: Vec<String>,
         columns: Vec<Vec<u32>>,
     ) -> Self {
+        let distinct = columns
+            .iter()
+            .map(|c| c.iter().max().map_or(0, |&m| m + 1))
+            .collect();
+        Relation::from_counted_columns(name.into(), column_names, columns, distinct)
+    }
+
+    /// [`Relation::from_encoded_columns`] for columns whose label counts the
+    /// encoder already knows: `distinct[a]` is one past the largest label
+    /// of column `a`.
+    fn from_counted_columns(
+        name: String,
+        column_names: Vec<String>,
+        columns: Vec<Vec<u32>>,
+        distinct: Vec<u32>,
+    ) -> Self {
         assert_eq!(column_names.len(), columns.len(), "one name per column required");
         assert!(columns.len() <= MAX_ATTRS, "schema exceeds {MAX_ATTRS} attributes");
         let n_rows = columns.first().map_or(0, |c| c.len());
@@ -47,11 +64,11 @@ impl Relation {
             "all columns must have the same number of rows"
         );
         assert!(n_rows <= u32::MAX as usize, "row count exceeds u32 range");
-        let distinct = columns
+        debug_assert!(columns
             .iter()
-            .map(|c| c.iter().max().map_or(0, |&m| m + 1))
-            .collect();
-        Relation { name: name.into(), column_names, columns, distinct, n_rows }
+            .zip(&distinct)
+            .all(|(c, &d)| c.iter().max().map_or(0, |&m| m + 1) == d));
+        Relation { name, column_names, columns, distinct, n_rows }
     }
 
     /// Dataset name (used in reports and benchmark tables).
@@ -608,42 +625,41 @@ pub enum NullLabeling {
     Distinct,
 }
 
-/// Incrementally dictionary-encodes raw string rows into a [`Relation`].
+/// Incrementally dictionary-encodes raw string rows into a [`Relation`]
+/// through a [`ColumnDictionaries`].
 #[derive(Debug)]
 pub struct RelationBuilder {
     name: String,
     column_names: Vec<String>,
-    dictionaries: Vec<FastHashMap<String, u32>>,
     columns: Vec<Vec<u32>>,
-    /// The shared-null label of each column, allocated on first use.
-    /// Distinct-null labels are allocated past the dictionary range and
-    /// tracked via `next_label`.
-    shared_null: Vec<Option<u32>>,
-    next_label: Vec<u32>,
+    dicts: ColumnDictionaries,
 }
 
 impl RelationBuilder {
-    /// Starts a relation with the given column names.
+    /// Starts a relation with the given column names. Its dictionaries read
+    /// raw rows with the default CSV null convention (the empty field is a
+    /// shared null).
     pub fn new(name: impl Into<String>, column_names: Vec<String>) -> Self {
+        let dicts = ColumnDictionaries::new(column_names.len(), None, NullLabeling::Shared);
+        RelationBuilder::with_dictionaries(name, column_names, dicts)
+    }
+
+    /// Starts a relation that encodes through `dicts`, which must cover
+    /// one column per name.
+    pub(crate) fn with_dictionaries(
+        name: impl Into<String>,
+        column_names: Vec<String>,
+        dicts: ColumnDictionaries,
+    ) -> Self {
         let n = column_names.len();
         assert!(n <= MAX_ATTRS, "schema exceeds {MAX_ATTRS} attributes");
+        debug_assert_eq!(dicts.n_attrs(), n);
         RelationBuilder {
             name: name.into(),
             column_names,
-            dictionaries: (0..n).map(|_| FastHashMap::default()).collect(),
             columns: (0..n).map(|_| Vec::new()).collect(),
-            shared_null: vec![None; n],
-            next_label: vec![0; n],
+            dicts,
         }
-    }
-
-    fn encode(&mut self, a: usize, value: &str) -> u32 {
-        let next = self.next_label[a];
-        let label = *self.dictionaries[a].entry(value.to_owned()).or_insert(next);
-        if label == next {
-            self.next_label[a] += 1;
-        }
-        label
     }
 
     /// Appends one row of raw values.
@@ -653,7 +669,7 @@ impl RelationBuilder {
     pub fn push_row<S: AsRef<str>>(&mut self, row: &[S]) {
         assert_eq!(row.len(), self.column_names.len(), "row width mismatch");
         for (a, value) in row.iter().enumerate() {
-            let label = self.encode(a, value.as_ref());
+            let label = self.dicts.encode_value(a, value.as_ref().as_bytes());
             self.columns[a].push(label);
         }
     }
@@ -667,24 +683,18 @@ impl RelationBuilder {
         assert_eq!(row.len(), self.column_names.len(), "row width mismatch");
         for (a, value) in row.iter().enumerate() {
             let label = match value {
-                Some(v) => self.encode(a, v),
-                None => match labeling {
-                    NullLabeling::Shared => match self.shared_null[a] {
-                        Some(l) => l,
-                        None => {
-                            let l = self.next_label[a];
-                            self.next_label[a] += 1;
-                            self.shared_null[a] = Some(l);
-                            l
-                        }
-                    },
-                    NullLabeling::Distinct => {
-                        let l = self.next_label[a];
-                        self.next_label[a] += 1;
-                        l
-                    }
-                },
+                Some(v) => self.dicts.encode_value(a, v.as_bytes()),
+                None => self.dicts.encode_null(a, labeling),
             };
+            self.columns[a].push(label);
+        }
+    }
+
+    /// Appends one row of raw CSV fields, one per column, under the
+    /// dictionaries' null convention.
+    pub(crate) fn push_fields<'f>(&mut self, fields: impl Iterator<Item = &'f [u8]>) {
+        for (a, field) in fields.enumerate() {
+            let label = self.dicts.encode_field(a, field);
             self.columns[a].push(label);
         }
     }
@@ -696,17 +706,17 @@ impl RelationBuilder {
 
     /// Finishes encoding.
     pub fn finish(self) -> Relation {
-        Relation::from_encoded_columns(self.name, self.column_names, self.columns)
+        self.finish_with_dictionaries().0
     }
 
     /// Finishes encoding, also handing back the per-column dictionaries so
     /// later delta rows can be encoded consistently with the base table
     /// (see [`ColumnDictionaries`]).
     pub fn finish_with_dictionaries(self) -> (Relation, ColumnDictionaries) {
-        let dicts = ColumnDictionaries::new(self.dictionaries, self.shared_null, self.next_label);
+        let distinct = self.dicts.label_counts();
         let relation =
-            Relation::from_encoded_columns(self.name, self.column_names, self.columns);
-        (relation, dicts)
+            Relation::from_counted_columns(self.name, self.column_names, self.columns, distinct);
+        (relation, self.dicts)
     }
 }
 

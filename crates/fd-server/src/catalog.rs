@@ -20,7 +20,7 @@ use crate::jobs::JobOutcome;
 use eulerfd::{DeltaEngine, DeltaReport};
 use fd_core::{AttrId, AttrSet, FdSet};
 use fd_relation::{
-    read_csv_file_with_dictionaries, ColumnDictionaries, CsvOptions, NullLabeling, PliCache,
+    read_csv_file_with_dictionaries, ColumnDictionaries, CsvOptions, PliCache,
     Relation, RowId,
 };
 use std::collections::BTreeMap;
@@ -136,7 +136,8 @@ impl Dataset {
         &mut self.pli
     }
 
-    /// Encodes raw string rows through the registration dictionaries.
+    /// Encodes raw string rows through the registration dictionaries, under
+    /// the null convention the dataset was registered with.
     pub(crate) fn encode_rows(&mut self, raw: &[Vec<String>]) -> Result<Vec<Vec<u32>>, CatalogError> {
         let dicts = self.dicts.as_mut().ok_or_else(|| {
             CatalogError::Encode(format!(
@@ -154,14 +155,7 @@ impl Dataset {
                 row.len()
             )));
         }
-        Ok(raw
-            .iter()
-            .map(|row| {
-                let nullable: Vec<Option<&str>> =
-                    row.iter().map(|v| (!v.is_empty()).then_some(v.as_str())).collect();
-                dicts.encode_nullable_row(&nullable, NullLabeling::Shared)
-            })
-            .collect())
+        Ok(raw.iter().map(|row| dicts.encode_csv_row(row)).collect())
     }
 
     /// Applies a row delta: the engine patches relation + FD cover, the PLI

@@ -865,6 +865,33 @@ mod tests {
     }
 
     #[test]
+    fn raw_deltas_follow_the_registered_null_convention() {
+        let _serial = crate::server_test_lock();
+        // With `?` as the null token, b's nulls share one label, so the
+        // insert (3, ?) breaks b -> a; read as a plain value, `?` keeps it.
+        let base = "a,b\n1,?\n2,x\n";
+        let csv = CsvOptions { null_token: Some("?".into()), ..CsvOptions::default() };
+        let path = std::env::temp_dir()
+            .join(format!("fd-server-null-token-{}.csv", std::process::id()));
+        std::fs::write(&path, base).expect("the temp dir is writable");
+        let server = Server::start(ServerConfig { csv: csv.clone(), ..ServerConfig::default() });
+        let registered = server.register_csv("t", path.to_str().expect("a UTF-8 temp path"));
+        std::fs::remove_file(&path).expect("the temp CSV is removable");
+        registered.expect("register");
+        let delta = Request::Delta {
+            dataset: "t".into(),
+            inserts: RowsSpec::Raw(vec![vec!["3".into(), "?".into()]]),
+            deletes: vec![],
+        };
+        let outcome = server.session().run(delta).outcome.clone();
+        assert!(matches!(outcome, JobOutcome::DeltaApplied { version: 1, .. }), "{outcome:?}");
+        let cold = fd_relation::read_csv(format!("{base}3,?\n").as_bytes(), "cold", &csv)
+            .expect("the mutated table parses");
+        let handle = server.shared.catalog.handle("t").expect("registered");
+        assert_eq!(lock(&handle).fds(), DeltaEngine::new(cold, 1).fds());
+    }
+
+    #[test]
     fn waited_jobs_leave_the_job_table() {
         let _serial = crate::server_test_lock();
         let server = Server::start_default();

@@ -52,6 +52,14 @@ cargo test -q -p fd-relation --test proptests
 # boundaries, and work-stealing folds must match the sequential scan.
 cargo test -q -p fd-relation --test proptests packed_kernel_matches_scalar_reference
 cargo test -q -p fd-relation --test proptests novel_agree_sets_fold_matches_sequential_novelty_scan
+# Ingest gate: written fields read back verbatim and encode label for label
+# like a RelationBuilder fed the same strings; blank lines, a leading byte
+# order mark and quoted `\r`s follow the parser's rules; the interner keeps
+# every label across table growth; and the server encodes raw delta rows
+# under the null convention the dataset was registered with.
+cargo test -q -p fd-relation --test proptests csv_reader_matches_builder_label_for_label
+cargo test -q -p fd-relation --lib -- csv::tests dictionary::tests
+cargo test -q -p fd-server --lib server::tests::raw_deltas_follow_the_registered_null_convention
 cargo test -q -p fd-core --lib parallel::
 # Batched-sampler gate: a compare batch of many window steps must fold
 # exactly the steps one step at a time would (a cluster promoted mid-batch

@@ -49,7 +49,7 @@ use eulerfd_suite::core::{bcnf_violations, candidate_keys, Accuracy, Budget, FdS
 use eulerfd_suite::relation::synth::{dataset_names, dataset_spec};
 use eulerfd_suite::relation::{
     read_csv_file_with_dictionaries, read_csv_file_with_report, read_csv_rows_file, write_csv,
-    CsvOptions, FdAlgorithm, NullLabeling, NullPolicy, RaggedPolicy, Relation,
+    CsvOptions, FdAlgorithm, RaggedPolicy, Relation,
 };
 use std::io::Write;
 use std::process::exit;
@@ -360,10 +360,6 @@ fn discover_delta(fa: &FileArgs) {
     // Encode the delta rows against the base table's dictionaries: known
     // values keep their labels, unseen values get fresh ones, and nulls
     // follow the same token + policy as the base ingestion.
-    let labeling = match fa.options.null_policy {
-        NullPolicy::NullEqualsNull => NullLabeling::Shared,
-        NullPolicy::NullNotEquals => NullLabeling::Distinct,
-    };
     let mut inserts: Vec<Vec<u32>> = Vec::new();
     if let Some(delta_path) = &fa.delta_csv {
         let (names, rows) = match read_csv_rows_file(delta_path, &fa.options) {
@@ -381,14 +377,7 @@ fn discover_delta(fa: &FileArgs) {
             );
             exit(2);
         }
-        let is_null = |field: &str| {
-            field.is_empty() || fa.options.null_token.as_deref() == Some(field)
-        };
-        for row in &rows {
-            let nullable: Vec<Option<&str>> =
-                row.iter().map(|f| if is_null(f) { None } else { Some(f.as_str()) }).collect();
-            inserts.push(dicts.encode_nullable_row(&nullable, labeling));
-        }
+        inserts.extend(rows.iter().map(|row| dicts.encode_csv_row(row)));
     }
 
     let start = Instant::now();
