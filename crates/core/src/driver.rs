@@ -175,6 +175,7 @@ impl EulerFd {
             termination = sampler
                 .initial_pass_budgeted(&mut ncover, &mut pending, budget)
                 .unwrap_or_default();
+            sampler.publish_counters();
         }
 
         // Algorithm 1 runs the MLFQ to exhaustion per sampling phase; the
@@ -245,6 +246,7 @@ impl EulerFd {
                         break; // nothing left to sample
                     }
                 }
+                sampler.publish_counters();
             }
 
             // ── Inversion + cycle 2: stop unless Pcover churns enough. ──
@@ -317,6 +319,9 @@ impl EulerFd {
             fd_telemetry::counter!("euler.invalidations", delta.removed as u64);
         }
 
+        // Counters of a phase cut short by `break 'run`, and revivals made
+        // outside a sampling phase.
+        sampler.publish_counters();
         report.sampler = sampler.stats().clone();
         report.ncover_size = ncover.len();
         let fds = pcover.to_fdset();

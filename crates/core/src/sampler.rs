@@ -14,7 +14,7 @@
 
 use crate::config::EulerFdConfig;
 use crate::mlfq::{ClusterId, Mlfq};
-use fd_core::{AttrSet, Budget, FastHashSet, Fd, NCover, Termination};
+use fd_core::{AgreeSetTable, AttrSet, Budget, Fd, NCover, Termination};
 use fd_relation::{sampling_clusters_parallel, Relation, RowId, RowMajor};
 use std::collections::VecDeque;
 
@@ -35,6 +35,12 @@ pub struct SamplerStats {
     /// one thread every batch is a single step and this stays 0; batches,
     /// and so discards, grow with the thread count.
     pub discarded_pairs: u64,
+    /// Agree sets that reached the fold but were already in the dedup set.
+    /// Thread-dependent diagnostic, like `fold_candidates`: a set that
+    /// straddled worker chunks reaches the fold once per chunk.
+    pub duplicate_candidates: u64,
+    /// Non-FDs the folded agree sets added to the negative cover.
+    pub new_non_fds: u64,
     /// Folded steps (`sample()` invocations of Algorithm 1).
     pub samples: u64,
     /// Largest number of kernel worker threads any single compare batch
@@ -89,7 +95,7 @@ pub struct Sampler {
     /// Clusters retired by the zero-capa rule but not yet fully enumerated;
     /// cycle 2 revives these when the positive cover is still unstable.
     retired: Vec<ClusterId>,
-    seen_agree: FastHashSet<AttrSet>,
+    seen_agree: AgreeSetTable,
     /// Row-major mirror of the relation: the compare step's layout.
     row_major: RowMajor,
     /// Kernel worker threads (resolved; ≥ 1).
@@ -104,6 +110,8 @@ pub struct Sampler {
     plan: Vec<(ClusterId, usize)>,
     recent_window: usize,
     stats: SamplerStats,
+    /// `stats` as of the last [`Sampler::publish_counters`].
+    published: SamplerStats,
     /// Every folded step as (cluster, pairs, capa), in fold order.
     #[cfg(test)]
     trace: Vec<(ClusterId, usize, f64)>,
@@ -152,7 +160,7 @@ impl Sampler {
             clusters,
             mlfq: Mlfq::new(config.queue_bounds()),
             retired: Vec::new(),
-            seen_agree: FastHashSet::default(),
+            seen_agree: AgreeSetTable::new(),
             batch_pairs: row_major.full_width_pairs(threads),
             row_major,
             threads,
@@ -160,6 +168,7 @@ impl Sampler {
             plan: Vec::new(),
             recent_window: config.recent_window.max(1),
             stats,
+            published: SamplerStats::default(),
             #[cfg(test)]
             trace: Vec::new(),
             #[cfg(test)]
@@ -308,7 +317,6 @@ impl Sampler {
         if next < plan.len() {
             let discarded = (planned_pairs - start) as u64;
             self.stats.discarded_pairs += discarded;
-            fd_telemetry::counter!("euler.sampler.discarded_pairs", discarded);
             if let Some(q) = queue {
                 let tail: Vec<ClusterId> = plan[next..].iter().map(|&(id, _)| id).collect();
                 self.mlfq.restore_front(q, &tail);
@@ -350,13 +358,9 @@ impl Sampler {
         }
         self.stats.pairs_compared += pairs as u64;
         self.stats.fold_candidates += fold_candidates;
+        self.stats.duplicate_candidates += duplicates;
+        self.stats.new_non_fds += new_non_fds as u64;
         self.stats.samples += 1;
-        fd_telemetry::counter!("euler.sampler.samples", 1);
-        fd_telemetry::counter!("euler.sampler.pairs_compared", pairs as u64);
-        // Thread-dependent diagnostic, like `fold_candidates`: a set that
-        // straddled worker chunks reaches the fold once per chunk.
-        fd_telemetry::counter!("euler.sampler.duplicate_candidates", duplicates);
-        fd_telemetry::counter!("euler.sampler.new_non_fds", new_non_fds as u64);
 
         let capa = new_non_fds as f64 / pairs as f64;
         #[cfg(test)]
@@ -381,7 +385,6 @@ impl Sampler {
         } else {
             self.retired.push(id);
             self.stats.clusters_retired += 1;
-            fd_telemetry::counter!("euler.sampler.clusters_retired", 1);
         }
     }
 
@@ -406,13 +409,50 @@ impl Sampler {
             revived += 1;
         }
         self.stats.revivals += revived;
-        fd_telemetry::counter!("euler.sampler.revivals", revived as u64);
         revived
     }
 
     /// Counters so far.
     pub fn stats(&self) -> &SamplerStats {
         &self.stats
+    }
+
+    /// Adds the counters' growth since the last call to the
+    /// `euler.sampler.*` telemetry counters. The driver calls this once per
+    /// sampling phase and once at the end of a run, instead of the fold
+    /// firing four counters on every step; the totals are the same. As
+    /// before, the per-step counters appear once a step has folded, and the
+    /// event counters once their event has happened.
+    pub fn publish_counters(&mut self) {
+        let (now, was) = (&self.stats, &self.published);
+        if now.samples > was.samples {
+            fd_telemetry::counter!("euler.sampler.samples", now.samples - was.samples);
+            fd_telemetry::counter!(
+                "euler.sampler.pairs_compared",
+                now.pairs_compared - was.pairs_compared
+            );
+            fd_telemetry::counter!(
+                "euler.sampler.duplicate_candidates",
+                now.duplicate_candidates - was.duplicate_candidates
+            );
+            fd_telemetry::counter!("euler.sampler.new_non_fds", now.new_non_fds - was.new_non_fds);
+        }
+        if now.discarded_pairs > was.discarded_pairs {
+            fd_telemetry::counter!(
+                "euler.sampler.discarded_pairs",
+                now.discarded_pairs - was.discarded_pairs
+            );
+        }
+        if now.clusters_retired > was.clusters_retired {
+            fd_telemetry::counter!(
+                "euler.sampler.clusters_retired",
+                (now.clusters_retired - was.clusters_retired) as u64
+            );
+        }
+        if now.revivals > was.revivals {
+            fd_telemetry::counter!("euler.sampler.revivals", (now.revivals - was.revivals) as u64);
+        }
+        self.published = self.stats.clone();
     }
 
     /// Current queue occupancy (diagnostics / report).

@@ -10,7 +10,7 @@
 //! exactly what EulerFD's MLFQ and double-cycle structure address.
 
 use crate::fdep::seed_empty_lhs_non_fds;
-use fd_core::{invert_ncover, AttrSet, FastHashSet, FdSet, NCover};
+use fd_core::{invert_ncover, AgreeSetTable, FdSet, NCover};
 use fd_relation::{sampling_clusters, FdAlgorithm, Relation};
 
 /// The AID-FD approximate discovery algorithm.
@@ -53,7 +53,7 @@ impl AidFd {
         let mut ncover = NCover::new(relation.n_attrs());
         seed_empty_lhs_non_fds(relation, &mut ncover);
         let clusters = sampling_clusters(relation);
-        let mut seen_agree: FastHashSet<AttrSet> = FastHashSet::default();
+        let mut seen_agree = AgreeSetTable::new();
         let mut stats = AidFdStats::default();
 
         let mut window = 1usize;

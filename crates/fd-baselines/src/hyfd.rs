@@ -25,7 +25,7 @@
 //! original.
 
 use crate::fdep::seed_empty_lhs_non_fds;
-use fd_core::{AttrId, AttrSet, FastHashSet, Fd, FdSet, FdTree, NCover};
+use fd_core::{AgreeSetTable, AttrId, AttrSet, FastHashSet, Fd, FdSet, FdTree, NCover};
 use fd_relation::{sampling_clusters_cached, FdAlgorithm, PliCache, Relation, RowId, RowMajor};
 
 /// The HyFD exact hybrid algorithm.
@@ -55,7 +55,7 @@ struct Sampler {
     row_major: RowMajor,
     window: usize,
     exhausted: bool,
-    seen_agree: FastHashSet<AttrSet>,
+    seen_agree: AgreeSetTable,
 }
 
 impl Sampler {
@@ -67,7 +67,7 @@ impl Sampler {
             row_major: relation.row_major(),
             window: 1,
             exhausted: false,
-            seen_agree: FastHashSet::default(),
+            seen_agree: AgreeSetTable::new(),
         }
     }
 

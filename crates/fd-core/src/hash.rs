@@ -1,9 +1,11 @@
 //! A fast, non-cryptographic hasher for hot hash tables.
 //!
-//! Sampling tracks seen agree sets and cluster signatures in hash tables that
-//! sit on the critical path; SipHash (std's default) is measurably slower for
-//! these short fixed-size keys. This is the FxHash multiply-fold scheme used
-//! by rustc, implemented locally to keep the dependency set minimal.
+//! Cluster signatures, PLI-cache keys and the delta engine's support map sit
+//! in hash tables on hot paths; SipHash (std's default) is measurably slower
+//! for these short fixed-size keys. (The sampling loops' seen agree sets
+//! live in [`crate::AgreeSetTable`] instead.) This is the FxHash
+//! multiply-fold scheme used by rustc, implemented locally to keep the
+//! dependency set minimal.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

@@ -32,6 +32,7 @@
 // unwraps are confined to test code.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
+pub mod agree_table;
 pub mod attrset;
 pub mod budget;
 pub mod closure;
@@ -46,6 +47,7 @@ pub mod metrics;
 pub mod naive;
 pub mod parallel;
 
+pub use agree_table::AgreeSetTable;
 pub use attrset::{AttrId, AttrSet, ATTR_WORDS, MAX_ATTRS};
 pub use budget::{Budget, CancelToken, Termination, Watchdog};
 pub use error::DiscoveryError;

@@ -3,8 +3,8 @@
 //! algebraic laws the covers rely on.
 
 use fd_core::{
-    invert_ncover, AttrId, AttrSet, Fd, FdSet, FdTree, InvertDelta, LhsTree, NCover,
-    NaiveLhsStore, PCover,
+    invert_ncover, AgreeSetTable, AttrId, AttrSet, FastHashSet, Fd, FdSet, FdTree, InvertDelta,
+    LhsTree, NCover, NaiveLhsStore, PCover, MAX_ATTRS,
 };
 use proptest::prelude::*;
 
@@ -474,6 +474,46 @@ proptest! {
         }
         prop_assert_eq!(pc.to_fdset(), expect);
         prop_assert_eq!(pc.len(), reference.iter().map(LhsTree::len).sum::<usize>());
+    }
+}
+
+/// Agree-set keys for the table model: sets within one of the four words,
+/// sets spread over all four, and the prefixes `{0..n}` from the empty set
+/// to `AttrSet::full(256)`. Small value ranges make repeats common.
+fn table_key() -> impl Strategy<Value = AttrSet> {
+    prop_oneof![
+        4 => (0usize..4, 1u64..400).prop_map(|(word, bits)| {
+            let mut words = [0u64; 4];
+            words[word] = bits;
+            AttrSet::from_words(words)
+        }),
+        2 => (0u64..6, 0u64..6, 0u64..6, 0u64..6)
+            .prop_map(|(a, b, c, d)| AttrSet::from_words([a, b, c, d])),
+        1 => (0usize..=MAX_ATTRS).prop_map(AttrSet::full),
+    ]
+}
+
+proptest! {
+    /// The open-addressing agree-set table answers every insert and
+    /// contains like a `FastHashSet<AttrSet>`, through several growths of
+    /// its slot array.
+    #[test]
+    fn agree_set_table_matches_hash_set_model(
+        ops in prop::collection::vec((0u8..3, table_key()), 1..1500),
+    ) {
+        let mut table = AgreeSetTable::new();
+        let mut model: FastHashSet<AttrSet> = FastHashSet::default();
+        for (op, key) in &ops {
+            if *op == 0 {
+                prop_assert_eq!(table.contains(key), model.contains(key), "contains {:?}", key);
+            } else {
+                prop_assert_eq!(table.insert(*key), model.insert(*key), "insert {:?}", key);
+            }
+            prop_assert_eq!(table.len(), model.len());
+        }
+        for key in &model {
+            prop_assert!(table.contains(key), "lost {:?}", key);
+        }
     }
 }
 

@@ -22,7 +22,7 @@ pub enum CsvError {
     Io(io::Error),
     /// A row had a different number of fields than the header.
     RaggedRow {
-        /// 1-based physical row number.
+        /// 1-based physical line the row's record started on.
         row: usize,
         /// Fields found in the row.
         found: usize,
@@ -31,12 +31,12 @@ pub enum CsvError {
     },
     /// A quoted field was never closed.
     UnterminatedQuote {
-        /// 1-based physical row number where the field started.
+        /// 1-based physical line the row's record started on.
         row: usize,
     },
     /// A field held bytes that are not valid UTF-8.
     InvalidUtf8 {
-        /// 1-based physical row number where the logical row started.
+        /// 1-based physical line the row's record started on.
         row: usize,
     },
     /// The input contained no rows at all.
@@ -138,7 +138,9 @@ pub enum RowAction {
 /// Per-row diagnostic emitted by a permissive ingestion run.
 #[derive(Clone, Debug)]
 pub struct RowIssue {
-    /// 1-based row number (header included in the count).
+    /// 1-based physical line the row's record started on (the header's
+    /// lines and blank lines included in the count), like the `row` of
+    /// every [`CsvError`].
     pub row: usize,
     /// Fields found in the row.
     pub found: usize,
@@ -295,9 +297,6 @@ struct Rows<R> {
     /// Headerless input: the first record is data and has not been handed
     /// out yet.
     pending: bool,
-    /// Added to the parser's record count to number a row: headerless input
-    /// numbers its first record 2, as if a header preceded it.
-    row_offset: usize,
     on_ragged: RaggedPolicy,
     report: IngestReport,
 }
@@ -317,7 +316,6 @@ impl<R: Read> Rows<R> {
             parser,
             names,
             pending: !options.has_header,
-            row_offset: usize::from(!options.has_header),
             on_ragged: options.on_ragged,
             report: IngestReport::default(),
         })
@@ -330,7 +328,7 @@ impl<R: Read> Rows<R> {
             if !std::mem::take(&mut self.pending) && !self.parser.next_record()? {
                 return Ok(false);
             }
-            let row = self.parser.records + self.row_offset;
+            let row = self.parser.start_line;
             self.report.rows_read += 1;
             // Chaos hook: an injected allocation failure surfaces as a clean
             // `CsvError::Io(OutOfMemory)` — ingestion fails loudly and early
@@ -403,8 +401,8 @@ struct Parser<R> {
     ends: Vec<usize>,
     /// Line breaks consumed so far.
     lines: usize,
-    /// Records consumed so far, skipped blank lines included.
-    records: usize,
+    /// 1-based line the current record started on.
+    start_line: usize,
 }
 
 impl<R: Read> Parser<R> {
@@ -418,7 +416,7 @@ impl<R: Read> Parser<R> {
             bytes: Vec::new(),
             ends: Vec::new(),
             lines: 0,
-            records: 0,
+            start_line: 0,
         };
         while parser.len < BOM.len() {
             let n = read_retrying(&mut parser.reader, &mut parser.buf[parser.len..])?;
@@ -454,7 +452,7 @@ impl<R: Read> Parser<R> {
     fn next_record(&mut self) -> Result<bool, CsvError> {
         self.bytes.clear();
         self.ends.clear();
-        let mut start_line = self.lines + 1;
+        self.start_line = self.lines + 1;
         let mut state = State::Unquoted;
         // Bytes below `keep` are never trimmed as a line break's `\r`: the
         // current field's start, or where its quotes last closed.
@@ -508,11 +506,10 @@ impl<R: Read> Parser<R> {
                         self.trim_cr(keep);
                         if self.ends.is_empty() && self.bytes.is_empty() && !quoted {
                             // A blank line: numbered, but no record.
-                            self.records += 1;
-                            start_line = self.lines + 1;
+                            self.start_line = self.lines + 1;
                             continue;
                         }
-                        return self.complete(start_line).map(|()| true);
+                        return self.complete().map(|()| true);
                     } else if b == b'"' && self.bytes.len() == field_start {
                         state = State::Quoted;
                         quoted = true;
@@ -527,8 +524,8 @@ impl<R: Read> Parser<R> {
         }
         match state {
             State::Quoted => {
-                self.check_utf8(start_line)?;
-                return Err(CsvError::UnterminatedQuote { row: start_line });
+                self.check_utf8()?;
+                return Err(CsvError::UnterminatedQuote { row: self.start_line });
             }
             State::QuoteInQuotes => keep = self.bytes.len(),
             State::Unquoted => {}
@@ -537,7 +534,7 @@ impl<R: Read> Parser<R> {
         if self.ends.is_empty() && self.bytes.is_empty() && !quoted {
             return Ok(false);
         }
-        self.complete(start_line).map(|()| true)
+        self.complete().map(|()| true)
     }
 
     /// Drops the `\r`s that end the current field beyond offset `keep`.
@@ -548,19 +545,18 @@ impl<R: Read> Parser<R> {
     }
 
     /// Closes the current record's last field and checks its encoding.
-    fn complete(&mut self, start_line: usize) -> Result<(), CsvError> {
+    fn complete(&mut self) -> Result<(), CsvError> {
         self.ends.push(self.bytes.len());
-        self.records += 1;
-        self.check_utf8(start_line)
+        self.check_utf8()
     }
 
     /// Fails with [`CsvError::InvalidUtf8`], numbered by the line the
     /// record started on, unless every closed field is UTF-8.
-    fn check_utf8(&self, start_line: usize) -> Result<(), CsvError> {
+    fn check_utf8(&self) -> Result<(), CsvError> {
         if self.bytes.is_ascii() || self.fields().all(|f| std::str::from_utf8(f).is_ok()) {
             Ok(())
         } else {
-            Err(CsvError::InvalidUtf8 { row: start_line })
+            Err(CsvError::InvalidUtf8 { row: self.start_line })
         }
     }
 }
@@ -735,6 +731,24 @@ mod tests {
     fn ragged_rows_are_an_error() {
         let err = read_csv("a,b\n1\n".as_bytes(), "t", &CsvOptions::default()).unwrap_err();
         assert!(matches!(err, CsvError::RaggedRow { row: 2, found: 1, expected: 2 }));
+    }
+
+    #[test]
+    fn ragged_rows_are_numbered_by_the_line_their_record_starts_on() {
+        // The quoted line break puts the ragged record `3` on line 4.
+        let err = read_csv("a,b\n\"x\ny\",1\n3\n".as_bytes(), "t", &CsvOptions::default())
+            .unwrap_err();
+        assert!(matches!(err, CsvError::RaggedRow { row: 4, found: 1, expected: 2 }), "{err:?}");
+        // Headerless input has no header line to count: `3` is on line 2.
+        let opts = CsvOptions { has_header: false, ..Default::default() };
+        let err = read_csv("1,2\n3\n".as_bytes(), "t", &opts).unwrap_err();
+        assert!(matches!(err, CsvError::RaggedRow { row: 2, found: 1, expected: 2 }), "{err:?}");
+        // Permissive runs report the same lines.
+        let opts = CsvOptions { on_ragged: RaggedPolicy::Pad, ..Default::default() };
+        let (_, report) =
+            read_csv_with_report("a,b\n\"x\ny\",1\n\n3\n".as_bytes(), "t", &opts).unwrap();
+        let rows: Vec<usize> = report.issues.iter().map(|i| i.row).collect();
+        assert_eq!(rows, vec![5]);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use crate::delta::RowDelta;
 use crate::dictionary::ColumnDictionaries;
-use fd_core::{AttrId, AttrSet, FastHashMap, FastHashSet, ATTR_WORDS, MAX_ATTRS};
+use fd_core::{AgreeSetTable, AttrId, AttrSet, FastHashMap, ATTR_WORDS, MAX_ATTRS};
 
 /// Identifier of a row (tuple) within a relation.
 pub type RowId = u32;
@@ -491,7 +491,7 @@ impl RowMajor {
     pub fn novel_agree_sets(
         &self,
         pairs: &[(RowId, RowId)],
-        seen: &FastHashSet<AttrSet>,
+        seen: &AgreeSetTable,
         threads: usize,
     ) -> (Vec<(usize, AttrSet)>, BatchStats) {
         let workers = self.plan_workers(pairs.len(), threads);
@@ -523,9 +523,9 @@ impl RowMajor {
         &self,
         start: usize,
         pairs: &[(RowId, RowId)],
-        seen: &FastHashSet<AttrSet>,
+        seen: &AgreeSetTable,
     ) -> Vec<(usize, AttrSet)> {
-        let mut local: FastHashSet<AttrSet> = FastHashSet::default();
+        let mut local = AgreeSetTable::new();
         let mut out = Vec::new();
         for (i, &(t, u)) in pairs.iter().enumerate() {
             let agree = self.agree_set(t, u);
@@ -575,35 +575,35 @@ pub fn agree_of_rows(a: &[u32], b: &[u32]) -> AttrSet {
 
 /// Bit-packed agree set of two packed rows.
 ///
-/// Instead of one branch + bitmap insert per attribute, equality results are
-/// built branchlessly eight attributes at a time into a `u64` lane fragment,
-/// then OR-shifted into the output word `idx / 64` at offset `idx % 64`
-/// (bit *i* of word *w* is attribute `w*64 + i`, exactly [`AttrSet`]'s
-/// layout, so the words become the set with no per-bit inserts). The 8-wide
-/// unroll compiles to straight-line compare/mask code the vectorizer can
-/// chew on; a sub-8 tail falls back to the per-attribute path.
+/// Instead of one branch + bitmap insert per attribute, labels are compared
+/// four at a time: each chunk is copied into a `[u32; 4]`, the four
+/// equalities form a `[bool; 4]`, and their 4-bit mask is OR-shifted into
+/// the output word `idx / 64` at offset `idx % 64` (bit *i* of word *w* is
+/// attribute `w*64 + i`, exactly [`AttrSet`]'s layout, so the words become
+/// the set with no per-bit inserts). LLVM lowers the fixed-size compare and
+/// mask to one vector compare and a move-mask on x86-64 (`pcmpeqd` +
+/// `movmskps`) from this safe code; a sub-4 tail falls back to the
+/// per-attribute path.
 ///
 /// Equivalent to [`agree_of_rows`] for every input (property-tested across
-/// widths spanning the 64- and 128-bit lane boundaries).
+/// every width up to [`MAX_ATTRS`], so the tail meets each word boundary).
 #[inline]
 pub fn packed_agree_of_rows(a: &[u32], b: &[u32]) -> AttrSet {
     let mut words = [0u64; ATTR_WORDS];
-    let mut ia = a.chunks_exact(8);
-    let mut ib = b.chunks_exact(8);
+    let mut ia = a.chunks_exact(4);
+    let mut ib = b.chunks_exact(4);
     let mut idx = 0usize;
     for (ca, cb) in (&mut ia).zip(&mut ib) {
-        let mut bits = (ca[0] == cb[0]) as u64;
-        bits |= ((ca[1] == cb[1]) as u64) << 1;
-        bits |= ((ca[2] == cb[2]) as u64) << 2;
-        bits |= ((ca[3] == cb[3]) as u64) << 3;
-        bits |= ((ca[4] == cb[4]) as u64) << 4;
-        bits |= ((ca[5] == cb[5]) as u64) << 5;
-        bits |= ((ca[6] == cb[6]) as u64) << 6;
-        bits |= ((ca[7] == cb[7]) as u64) << 7;
-        // idx is always a multiple of 8, so an 8-bit fragment never
+        let mut x = [0u32; 4];
+        let mut y = [0u32; 4];
+        x.copy_from_slice(ca);
+        y.copy_from_slice(cb);
+        let eq: [bool; 4] = std::array::from_fn(|i| x[i] == y[i]);
+        let bits = eq.iter().enumerate().fold(0u64, |m, (i, &e)| m | (e as u64) << i);
+        // idx is always a multiple of 4, so a 4-bit fragment never
         // straddles a word boundary.
         words[idx >> 6] |= bits << (idx & 63);
-        idx += 8;
+        idx += 4;
     }
     for (x, y) in ia.remainder().iter().zip(ib.remainder()) {
         if x == y {
@@ -808,9 +808,9 @@ mod tests {
 
     #[test]
     fn packed_kernel_matches_scalar_on_lane_boundaries() {
-        // Widths straddling the 8-wide unroll tail and the 64/128-bit word
-        // boundaries; labels chosen so some lanes agree and some do not.
-        for width in [1usize, 7, 8, 9, 63, 64, 65, 127, 128, 129, 200] {
+        // Every width, so the 4-lane tail meets each 64-bit word boundary;
+        // labels chosen so some lanes agree and some do not.
+        for width in 1..=MAX_ATTRS {
             let a: Vec<u32> = (0..width as u32).collect();
             let b: Vec<u32> = (0..width as u32).map(|i| if i % 3 == 0 { i } else { i + 1 }).collect();
             assert_eq!(packed_agree_of_rows(&a, &b), agree_of_rows(&a, &b), "width {width}");

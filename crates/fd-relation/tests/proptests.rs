@@ -1,7 +1,7 @@
 //! Property tests for the data substrate: partition algebra, CSV
 //! round-trips, relation invariants, and agree-set consistency.
 
-use fd_core::{AttrId, AttrSet, FastHashSet};
+use fd_core::{AgreeSetTable, AttrId, AttrSet, MAX_ATTRS};
 use fd_relation::{
     agree_of_rows, packed_agree_of_rows, read_csv, read_csv_rows, read_csv_with_dictionaries,
     read_csv_with_report, sampling_clusters, sampling_clusters_cached, sampling_clusters_parallel,
@@ -358,16 +358,16 @@ proptest! {
     }
 
     /// The bit-packed kernel is exactly the scalar reference for arbitrary
-    /// rows: widths sweep 1..=200, crossing the 8-wide unroll tail and the
-    /// 64- and 128-attribute lane boundaries, with labels drawn from a small
+    /// rows: widths sweep 1..=MAX_ATTRS, so the 4-lane tail meets every
+    /// 64-attribute word boundary, with labels drawn from a small
     /// domain so agree bits are dense enough to exercise every lane.
     #[test]
     fn packed_kernel_matches_scalar_reference(
-        width in 1usize..=200,
-        seed in proptest::collection::vec(0u32..4, 400..=400),
+        width in 1usize..=MAX_ATTRS,
+        seed in proptest::collection::vec(0u32..4, 2 * MAX_ATTRS..=2 * MAX_ATTRS),
     ) {
         let a = &seed[..width];
-        let b = &seed[200..200 + width];
+        let b = &seed[MAX_ATTRS..MAX_ATTRS + width];
         prop_assert_eq!(packed_agree_of_rows(a, b), agree_of_rows(a, b));
         // Self-comparison: every attribute agrees, all lanes saturate.
         prop_assert_eq!(packed_agree_of_rows(a, a), agree_of_rows(a, a));
@@ -601,7 +601,7 @@ fn novel_agree_sets_fold_matches_sequential_novelty_scan() {
     let rm = relation.row_major();
     // Pre-seed the dedup set with the first 200 pairs' agree sets, as if an
     // earlier sample had already surfaced them.
-    let mut seen: FastHashSet<AttrSet> = FastHashSet::default();
+    let mut seen = AgreeSetTable::new();
     for &(t, u) in &pairs[..200] {
         seen.insert(relation.agree_set(t, u));
     }

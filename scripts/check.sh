@@ -47,11 +47,16 @@ cargo test -q
 # transparency, algorithm invariance). Runs as part of `cargo test` too; the
 # explicit invocation keeps it visible and fails fast with its own name.
 cargo test -q -p fd-relation --test proptests
-# Kernel-equivalence gate: the bit-packed agree-set kernel must match the
-# scalar reference for arbitrary rows across the 64/128-attribute lane
-# boundaries, and work-stealing folds must match the sequential scan.
+# Kernel-equivalence gate: the 4-lane agree-set kernel must match the
+# scalar reference for arbitrary rows of every width up to 256 attributes,
+# and work-stealing folds must match the sequential scan.
 cargo test -q -p fd-relation --test proptests packed_kernel_matches_scalar_reference
 cargo test -q -p fd-relation --test proptests novel_agree_sets_fold_matches_sequential_novelty_scan
+# Dedup-table gate: the open-addressing agree-set table every sampling loop
+# dedups with must answer each insert and contains like a hash set, through
+# several growths and for keys in every word, the empty set and full(256).
+cargo test -q -p fd-core --test proptests agree_set_table_matches_hash_set_model
+cargo test -q -p fd-core --lib agree_table::
 # Ingest gate: written fields read back verbatim and encode label for label
 # like a RelationBuilder fed the same strings; blank lines, a leading byte
 # order mark and quoted `\r`s follow the parser's rules; the interner keeps
@@ -59,6 +64,9 @@ cargo test -q -p fd-relation --test proptests novel_agree_sets_fold_matches_sequ
 # under the null convention the dataset was registered with.
 cargo test -q -p fd-relation --test proptests csv_reader_matches_builder_label_for_label
 cargo test -q -p fd-relation --lib -- csv::tests dictionary::tests
+# Ragged rows are numbered by the physical line their record starts on,
+# after a quoted line break and in headerless input alike.
+cargo test -q -p fd-relation --lib csv::tests::ragged_rows_are_numbered_by_the_line_their_record_starts_on
 cargo test -q -p fd-server --lib server::tests::raw_deltas_follow_the_registered_null_convention
 cargo test -q -p fd-core --lib parallel::
 # Batched-sampler gate: a compare batch of many window steps must fold
