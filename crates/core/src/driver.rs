@@ -86,26 +86,13 @@ impl EulerFd {
         &self.config
     }
 
-    /// Runs discovery and returns the FDs together with the run report.
-    pub fn discover_with_report(&self, relation: &Relation) -> (FdSet, EulerFdReport) {
-        self.discover_budgeted(relation, &Budget::unlimited())
-    }
-
-    /// Builds a [`crate::DeltaEngine`] for `relation`: an exact cold
-    /// discovery pass whose result can then be patched in place after row
-    /// inserts/deletes at a fraction of the cold cost. The engine uses this
-    /// configuration's resolved thread count for its inversion phases.
-    pub fn discover_incremental(&self, relation: &Relation) -> crate::DeltaEngine {
-        crate::DeltaEngine::new(relation.clone(), self.config.resolved_threads())
-    }
-
     /// Runs discovery under a [`Budget`]: anytime execution with cooperative
-    /// cancellation. With [`Budget::unlimited`] this is bit-for-bit
-    /// identical to [`EulerFd::discover_with_report`]. When the budget trips
-    /// (deadline, pair cap, cover cap, or an external cancel via the
-    /// budget's token), the driver exits the current cycle and returns the
-    /// best-so-far positive cover; `report.termination` tells a full answer
-    /// from a truncated one.
+    /// cancellation, returning the FDs together with the run report. With
+    /// [`Budget::unlimited`] this is the plain run [`FdAlgorithm::discover`]
+    /// makes. When the budget trips (deadline, pair cap, cover cap, or an
+    /// external cancel via the budget's token), the driver exits the current
+    /// cycle and returns the best-so-far positive cover; `report.termination`
+    /// tells a full answer from a truncated one.
     ///
     /// Checkpoints: the budget is polled once per sampling step (one MLFQ
     /// window pass) and at every cycle boundary, and the inversion shards
@@ -118,25 +105,17 @@ impl EulerFd {
         relation: &Relation,
         budget: &Budget,
     ) -> (FdSet, EulerFdReport) {
-        self.discover_budgeted_impl(relation, budget, None)
+        self.discover_budgeted_cached(relation, budget, None)
     }
 
     /// [`EulerFd::discover_budgeted`] with the sampler's single-attribute
-    /// partitions built through a shared [`fd_relation::PliCache`] — the
-    /// serving entry point, where a catalog keeps pinned singles resident
-    /// across requests and repeat discoveries skip the partition build.
-    /// Results are byte-identical to the uncached path for any relation and
-    /// budget; only the construction cost changes.
+    /// partitions built through a shared [`fd_relation::PliCache`] when one
+    /// is given. That is the serving entry point, where a catalog keeps
+    /// pinned singles resident across requests and repeat discoveries skip
+    /// the partition build. Results are byte-identical with and without a
+    /// cache for any relation and budget; only the construction cost
+    /// changes.
     pub fn discover_budgeted_cached(
-        &self,
-        relation: &Relation,
-        budget: &Budget,
-        cache: &mut fd_relation::PliCache,
-    ) -> (FdSet, EulerFdReport) {
-        self.discover_budgeted_impl(relation, budget, Some(cache))
-    }
-
-    fn discover_budgeted_impl(
         &self,
         relation: &Relation,
         budget: &Budget,
@@ -168,13 +147,9 @@ impl EulerFd {
         let mut termination;
         {
             let _sample = fd_telemetry::span!("euler.phase.sample");
-            sampler = match cache {
-                Some(cache) => Sampler::new_cached(relation, &self.config, cache),
-                None => Sampler::new(relation, &self.config),
-            };
-            termination = sampler
-                .initial_pass_budgeted(&mut ncover, &mut pending, budget)
-                .unwrap_or_default();
+            sampler = Sampler::new(relation, &self.config, cache);
+            termination =
+                sampler.initial_pass(&mut ncover, &mut pending, budget).unwrap_or_default();
             sampler.publish_counters();
         }
 
@@ -336,7 +311,7 @@ impl FdAlgorithm for EulerFd {
     }
 
     fn discover(&self, relation: &Relation) -> FdSet {
-        self.discover_with_report(relation).0
+        self.discover_budgeted(relation, &Budget::unlimited()).0
     }
 }
 
@@ -350,7 +325,7 @@ mod tests {
         // Tiny data: sampling exhausts every pair, so the result must be
         // the exact cover of Table I — including the worked examples.
         let r = patient();
-        let (fds, report) = EulerFd::new().discover_with_report(&r);
+        let (fds, report) = EulerFd::new().discover_budgeted(&r, &Budget::unlimited());
         assert!(fds.is_minimal_cover());
         assert!(fds.contains(&Fd::new(AttrSet::from_attrs([1u16, 2]), 4))); // AB → M
         assert!(!fds.contains(&Fd::new(AttrSet::single(3), 4))); // G ↛ M
@@ -362,7 +337,7 @@ mod tests {
     #[test]
     fn report_histories_are_populated() {
         let r = fd_relation::synth::dataset_spec("abalone").unwrap().generate(1000);
-        let (_, report) = EulerFd::new().discover_with_report(&r);
+        let (_, report) = EulerFd::new().discover_budgeted(&r, &Budget::unlimited());
         assert!(!report.gr_ncover.is_empty());
         assert_eq!(report.gr_pcover.len(), report.inversions);
         assert!(report.ncover_size > 0);
@@ -437,7 +412,7 @@ mod tests {
             vec!["a".into(), "b".into()],
             vec![vec![], vec![]],
         );
-        let (fds, report) = EulerFd::new().discover_with_report(&r);
+        let (fds, report) = EulerFd::new().discover_budgeted(&r, &Budget::unlimited());
         // Vacuously, ∅ → A holds for every attribute; nothing was sampled.
         assert_eq!(fds.len(), 2);
         assert_eq!(report.sampler.pairs_compared, 0);
@@ -459,13 +434,9 @@ mod tests {
     fn unlimited_budget_is_bit_identical_to_unbudgeted() {
         let r = fd_relation::synth::dataset_spec("abalone").unwrap().generate(800);
         let euler = EulerFd::new();
-        let (fds_plain, rep_plain) = euler.discover_with_report(&r);
+        let fds_plain = euler.discover(&r);
         let (fds_budget, rep_budget) = euler.discover_budgeted(&r, &Budget::unlimited());
         assert_eq!(fds_plain, fds_budget);
-        assert_eq!(rep_plain.sampler.pairs_compared, rep_budget.sampler.pairs_compared);
-        assert_eq!(rep_plain.gr_ncover, rep_budget.gr_ncover);
-        assert_eq!(rep_plain.gr_pcover, rep_budget.gr_pcover);
-        assert_eq!(rep_plain.inversions, rep_budget.inversions);
         assert_eq!(rep_budget.termination, Termination::Converged);
         assert!(!rep_budget.is_partial());
     }
@@ -477,13 +448,14 @@ mod tests {
         let (plain, rep_plain) = euler.discover_budgeted(&r, &Budget::unlimited());
         let mut cache = fd_relation::PliCache::with_default_budget();
         let (cached, rep_cached) =
-            euler.discover_budgeted_cached(&r, &Budget::unlimited(), &mut cache);
+            euler.discover_budgeted_cached(&r, &Budget::unlimited(), Some(&mut cache));
         assert_eq!(plain, cached);
         assert_eq!(rep_plain.sampler.pairs_compared, rep_cached.sampler.pairs_compared);
         assert_eq!(rep_plain.gr_ncover, rep_cached.gr_ncover);
         // A second cached run hits every pinned single instead of rebuilding.
         let misses_after_first = cache.stats().misses;
-        let (again, _) = euler.discover_budgeted_cached(&r, &Budget::unlimited(), &mut cache);
+        let (again, _) =
+            euler.discover_budgeted_cached(&r, &Budget::unlimited(), Some(&mut cache));
         assert_eq!(again, plain);
         assert_eq!(cache.stats().misses, misses_after_first);
         assert!(cache.stats().hits >= r.n_attrs());

@@ -34,13 +34,14 @@
 //!
 //! ```
 //! use eulerfd::{EulerFd, EulerFdConfig};
-//! use fd_relation::{synth, FdAlgorithm};
+//! use fd_core::Budget;
+//! use fd_relation::synth;
 //!
 //! let fast = EulerFd::with_config(EulerFdConfig::with_thresholds(0.1, 0.1));
 //! let accurate = EulerFd::with_config(EulerFdConfig::with_thresholds(0.0, 0.0));
 //! let relation = synth::dataset_spec("abalone").unwrap().generate(500);
-//! let (_, fast_report) = fast.discover_with_report(&relation);
-//! let (_, accurate_report) = accurate.discover_with_report(&relation);
+//! let (_, fast_report) = fast.discover_budgeted(&relation, &Budget::unlimited());
+//! let (_, accurate_report) = accurate.discover_budgeted(&relation, &Budget::unlimited());
 //! assert!(fast_report.sampler.pairs_compared <= accurate_report.sampler.pairs_compared);
 //! ```
 

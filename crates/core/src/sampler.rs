@@ -123,38 +123,27 @@ pub struct Sampler {
 impl Sampler {
     /// Builds the cluster population from the relation's stripped
     /// partitions; the MLFQ starts empty until [`Sampler::initial_pass`].
-    pub fn new(relation: &Relation, config: &EulerFdConfig) -> Self {
+    ///
+    /// With a [`fd_relation::PliCache`] the single-attribute partitions are
+    /// built, or reused, through it. That is the long-lived serving path: a
+    /// catalog keeps the pinned singles resident across requests, so repeat
+    /// discoveries skip the partition build. The cluster population, and
+    /// with it every downstream result, is the same either way.
+    pub fn new(
+        relation: &Relation,
+        config: &EulerFdConfig,
+        cache: Option<&mut fd_relation::PliCache>,
+    ) -> Self {
         let threads = config.resolved_threads();
-        let clusters = sampling_clusters_parallel(relation, threads);
-        Self::from_cluster_rows(clusters, relation, config)
-    }
-
-    /// [`Sampler::new`] with the single-attribute partitions built — or
-    /// reused — through a [`fd_relation::PliCache`]. This is the long-lived
-    /// serving path: a catalog keeps the pinned singles resident across
-    /// requests, so repeat discoveries skip the partition build entirely.
-    /// The cluster population (and with it every downstream result) is
-    /// byte-identical to the uncached constructor.
-    pub fn new_cached(
-        relation: &Relation,
-        config: &EulerFdConfig,
-        cache: &mut fd_relation::PliCache,
-    ) -> Self {
-        let clusters = fd_relation::sampling_clusters_cached(relation, cache);
-        Self::from_cluster_rows(clusters, relation, config)
-    }
-
-    fn from_cluster_rows(
-        clusters: Vec<Vec<RowId>>,
-        relation: &Relation,
-        config: &EulerFdConfig,
-    ) -> Self {
+        let clusters = match cache {
+            Some(cache) => fd_relation::sampling_clusters_cached(relation, cache),
+            None => sampling_clusters_parallel(relation, threads),
+        };
         let clusters: Vec<ClusterState> = clusters
             .into_iter()
             .map(|rows| ClusterState { rows, window: 2, recent: VecDeque::new() })
             .collect();
         let stats = SamplerStats { clusters_total: clusters.len(), ..Default::default() };
-        let threads = config.resolved_threads();
         let row_major = relation.row_major();
         Sampler {
             clusters,
@@ -177,15 +166,11 @@ impl Sampler {
     }
 
     /// Algorithm 1 lines 2–4: sample every cluster once with the initial
-    /// window of 2 and enqueue it by the observed capa.
-    pub fn initial_pass(&mut self, ncover: &mut NCover, pending: &mut Vec<Fd>) {
-        self.initial_pass_budgeted(ncover, pending, &Budget::unlimited());
-    }
-
-    /// [`Sampler::initial_pass`] under a budget: polls before each cluster's
-    /// fold and stops early on a trip, returning the reason. Clusters not
-    /// folded stay out of the MLFQ — exactly as if the queue had drained.
-    pub fn initial_pass_budgeted(
+    /// window of 2 and enqueue it by the observed capa. Polls `budget`
+    /// before each compare batch and fold and stops early on a trip,
+    /// returning the reason. Clusters not folded stay out of the MLFQ,
+    /// exactly as if the queue had drained.
+    pub fn initial_pass(
         &mut self,
         ncover: &mut NCover,
         pending: &mut Vec<Fd>,
@@ -492,7 +477,7 @@ mod tests {
     fn setup() -> (Sampler, NCover, Vec<Fd>) {
         let r = patient();
         let config = EulerFdConfig::default();
-        let sampler = Sampler::new(&r, &config);
+        let sampler = Sampler::new(&r, &config, None);
         let ncover = NCover::new(r.n_attrs());
         (sampler, ncover, Vec::new())
     }
@@ -502,7 +487,7 @@ mod tests {
         let (mut sampler, mut ncover, mut pending) = setup();
         let n_clusters = sampler.clusters.len();
         assert!(n_clusters > 0);
-        sampler.initial_pass(&mut ncover, &mut pending);
+        sampler.initial_pass(&mut ncover, &mut pending, &Budget::unlimited());
         assert_eq!(sampler.stats().samples, n_clusters as u64);
         // Window-2 comparisons of clustered tuples must surface non-FDs on
         // the patient data (e.g. G ↛ N from the Gender cluster).
@@ -513,7 +498,7 @@ mod tests {
     #[test]
     fn window_grows_and_pairs_are_never_repeated() {
         let (mut sampler, mut ncover, mut pending) = setup();
-        sampler.initial_pass(&mut ncover, &mut pending);
+        sampler.initial_pass(&mut ncover, &mut pending, &Budget::unlimited());
         let mut total = sampler.stats().pairs_compared;
         while sampler.sample_next(&mut ncover, &mut pending) {
             let now = sampler.stats().pairs_compared;
@@ -551,7 +536,7 @@ mod tests {
     #[test]
     fn revival_requeues_only_unexhausted_clusters() {
         let (mut sampler, mut ncover, mut pending) = setup();
-        sampler.initial_pass(&mut ncover, &mut pending);
+        sampler.initial_pass(&mut ncover, &mut pending, &Budget::unlimited());
         while sampler.sample_next(&mut ncover, &mut pending) {}
         assert!(sampler.is_exhausted());
         let retired_before = sampler.retired.len();
@@ -578,7 +563,7 @@ mod tests {
     #[test]
     fn revival_clears_recent_history() {
         let (mut sampler, mut ncover, mut pending) = setup();
-        sampler.initial_pass(&mut ncover, &mut pending);
+        sampler.initial_pass(&mut ncover, &mut pending, &Budget::unlimited());
         while sampler.sample_next(&mut ncover, &mut pending) {}
         if sampler.revive_retired() > 0 {
             // Every revived cluster gets a full fresh recent window before it
@@ -605,11 +590,11 @@ mod tests {
         batch_pairs: usize,
         max_steps: usize,
     ) -> (Sampler, usize) {
-        let mut sampler = Sampler::new(relation, &EulerFdConfig::default());
+        let mut sampler = Sampler::new(relation, &EulerFdConfig::default(), None);
         sampler.batch_pairs = batch_pairs;
         let mut ncover = NCover::new(relation.n_attrs());
         let mut pending = Vec::new();
-        sampler.initial_pass(&mut ncover, &mut pending);
+        sampler.initial_pass(&mut ncover, &mut pending, &Budget::unlimited());
         loop {
             while sampler.sample_batch(&mut ncover, &mut pending, max_steps, |_, _| None).0 > 0 {}
             if sampler.revive_retired() == 0 {
@@ -653,7 +638,7 @@ mod tests {
     fn zero_capa_twice_retires_a_cluster() {
         let (mut sampler, mut ncover, mut pending) = setup();
         // Exhaust all evidence first so every further sample has capa 0.
-        sampler.initial_pass(&mut ncover, &mut pending);
+        sampler.initial_pass(&mut ncover, &mut pending, &Budget::unlimited());
         while sampler.sample_next(&mut ncover, &mut pending) {}
         assert!(sampler.is_exhausted());
         let s = sampler.stats();

@@ -3,7 +3,7 @@
 //! and config monotonicity on randomly generated relations.
 
 use eulerfd::{EulerFd, EulerFdConfig};
-use fd_core::{AttrId, AttrSet, Fd, FdSet, NCover};
+use fd_core::{AttrId, AttrSet, Budget, Fd, FdSet, NCover};
 use fd_relation::{FdAlgorithm, Relation};
 use proptest::prelude::*;
 
@@ -95,8 +95,8 @@ proptest! {
     #[test]
     fn discovery_is_deterministic(relation in relation_strategy()) {
         let algo = EulerFd::new();
-        let (fds_a, rep_a) = algo.discover_with_report(&relation);
-        let (fds_b, rep_b) = algo.discover_with_report(&relation);
+        let (fds_a, rep_a) = algo.discover_budgeted(&relation, &Budget::unlimited());
+        let (fds_b, rep_b) = algo.discover_budgeted(&relation, &Budget::unlimited());
         prop_assert_eq!(fds_a, fds_b);
         prop_assert_eq!(rep_a.sampler.pairs_compared, rep_b.sampler.pairs_compared);
         prop_assert_eq!(rep_a.gr_ncover, rep_b.gr_ncover);
@@ -107,8 +107,8 @@ proptest! {
     fn tighter_thresholds_sample_at_least_as_much(relation in relation_strategy()) {
         let loose = EulerFd::with_config(EulerFdConfig::with_thresholds(0.1, 0.1));
         let tight = EulerFd::with_config(EulerFdConfig::with_thresholds(0.0, 0.0));
-        let (_, rep_loose) = loose.discover_with_report(&relation);
-        let (_, rep_tight) = tight.discover_with_report(&relation);
+        let (_, rep_loose) = loose.discover_budgeted(&relation, &Budget::unlimited());
+        let (_, rep_tight) = tight.discover_budgeted(&relation, &Budget::unlimited());
         prop_assert!(rep_tight.sampler.pairs_compared >= rep_loose.sampler.pairs_compared);
     }
 
@@ -118,10 +118,10 @@ proptest! {
     #[test]
     fn thread_count_never_changes_the_answer(relation in relation_strategy()) {
         let base = EulerFd::with_config(EulerFdConfig::default().with_threads(1));
-        let (fds_1, rep_1) = base.discover_with_report(&relation);
+        let (fds_1, rep_1) = base.discover_budgeted(&relation, &Budget::unlimited());
         for threads in [2usize, 4] {
             let algo = EulerFd::with_config(EulerFdConfig::default().with_threads(threads));
-            let (fds_t, rep_t) = algo.discover_with_report(&relation);
+            let (fds_t, rep_t) = algo.discover_budgeted(&relation, &Budget::unlimited());
             prop_assert_eq!(&fds_1, &fds_t, "threads={}", threads);
             prop_assert_eq!(&rep_1.gr_ncover, &rep_t.gr_ncover, "threads={}", threads);
             prop_assert_eq!(&rep_1.gr_pcover, &rep_t.gr_pcover, "threads={}", threads);
@@ -132,7 +132,7 @@ proptest! {
     /// The report's counters are internally consistent.
     #[test]
     fn report_invariants(relation in relation_strategy()) {
-        let (fds, report) = EulerFd::new().discover_with_report(&relation);
+        let (fds, report) = EulerFd::new().discover_budgeted(&relation, &Budget::unlimited());
         prop_assert_eq!(report.pcover_size, fds.len());
         prop_assert_eq!(report.gr_pcover.len(), report.inversions);
         prop_assert!(report.inversions >= 1);

@@ -120,19 +120,6 @@ impl Tane {
         relation: &Relation,
         budget: &Budget,
     ) -> (FdSet, Termination) {
-        self.discover_budgeted_with_cache(relation, budget, &mut PliCache::with_default_budget())
-    }
-
-    /// [`Tane::discover_budgeted`] sharing the caller's PLI cache: level-1
-    /// partitions are served from it (a hit when the sampler or validator
-    /// already built them) and every computed level partition is donated
-    /// back, so a follow-up `g3` validation pass starts warm.
-    pub fn discover_budgeted_with_cache(
-        &self,
-        relation: &Relation,
-        budget: &Budget,
-        cache: &mut PliCache,
-    ) -> (FdSet, Termination) {
         let m = relation.n_attrs();
         let n = relation.n_rows();
         let threads = fd_core::clamp_threads(self.threads);
@@ -144,7 +131,8 @@ impl Tane {
         let mut prev_errors: HashMap<AttrSet, usize> = HashMap::new();
         prev_errors.insert(AttrSet::empty(), n.saturating_sub(1));
 
-        // Level 1, via the PLI cache (pinned singles).
+        // Level 1, via a PLI cache (pinned singles).
+        let mut cache = PliCache::with_default_budget();
         let mut current: HashMap<AttrSet, Node> = HashMap::new();
         for a in 0..m as AttrId {
             if let Some(t) = budget.poll_time() {
@@ -309,8 +297,7 @@ impl Tane {
                 }
                 let error_num = partition.error_num();
                 let partition = Arc::new(partition);
-                // Donate to the cache (bounded by its LRU budget) so approx
-                // validation and later runs can derive from this level.
+                // Donate to the run's cache (bounded by its LRU budget).
                 cache.insert(x, Arc::clone(&partition));
                 next.insert(x, Node { partition, error_num });
             }

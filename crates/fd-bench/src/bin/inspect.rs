@@ -10,7 +10,7 @@
 use eulerfd::EulerFd;
 use fd_baselines::AidFd;
 use fd_bench::ground_truth;
-use fd_core::Accuracy;
+use fd_core::{Accuracy, Budget};
 use fd_relation::synth::dataset_spec;
 use std::time::Instant;
 
@@ -34,7 +34,7 @@ fn main() {
     }
 
     let start = Instant::now();
-    let (euler_fds, report) = EulerFd::new().discover_with_report(&relation);
+    let (euler_fds, report) = EulerFd::new().discover_budgeted(&relation, &Budget::unlimited());
     let euler_secs = start.elapsed().as_secs_f64();
     println!("\nEulerFD: {} FDs in {euler_secs:.3}s", euler_fds.len());
     println!("  pairs compared : {}", report.sampler.pairs_compared);

@@ -10,7 +10,7 @@
 use crate::runner::ground_truth;
 use crate::table::Table;
 use eulerfd::{EulerFd, EulerFdConfig};
-use fd_core::Accuracy;
+use fd_core::{Accuracy, Budget};
 use fd_relation::synth::dataset_spec;
 use std::time::Instant;
 
@@ -76,7 +76,7 @@ pub fn run(options: &AblationOptions) -> Table {
     for variant in variants() {
         let algo = EulerFd::with_config(variant.config);
         let start = Instant::now();
-        let (fds, report) = algo.discover_with_report(&relation);
+        let (fds, report) = algo.discover_budgeted(&relation, &Budget::unlimited());
         let secs = start.elapsed().as_secs_f64();
         let f1 = truth
             .as_ref()

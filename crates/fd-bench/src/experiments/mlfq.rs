@@ -8,7 +8,7 @@
 use crate::runner::ground_truth;
 use crate::table::Table;
 use eulerfd::{mlfq_ranges, EulerFd, EulerFdConfig};
-use fd_core::Accuracy;
+use fd_core::{Accuracy, Budget};
 use fd_relation::synth::dataset_spec;
 use std::time::Instant;
 
@@ -72,7 +72,7 @@ pub fn run(options: &MlfqSweepOptions) -> Table {
             let mut last = None;
             for _ in 0..options.repetitions.max(1) {
                 let start = Instant::now();
-                let (fds, report) = algo.discover_with_report(&relation);
+                let (fds, report) = algo.discover_budgeted(&relation, &Budget::unlimited());
                 secs += start.elapsed().as_secs_f64();
                 last = Some((fds, report));
             }

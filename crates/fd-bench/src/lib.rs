@@ -33,6 +33,6 @@ pub mod table;
 
 pub use chart::{render as render_chart, ChartOptions, Series};
 pub use runner::{
-    ground_truth, is_transient_panic, run_isolated_algorithm, Algo, RunGuard, RunOutcome,
+    ground_truth, run_isolated_algorithm, Algo, RunGuard, RunOutcome,
 };
 pub use table::{results_dir, Table};

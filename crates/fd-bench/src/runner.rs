@@ -7,16 +7,15 @@
 //! runs that would blow past them are reported as `TL`/`ML` without burning
 //! hours, everything else runs for real and is timed.
 //!
-//! On top of the guards, [`Algo::run_isolated`] provides *fault isolation*:
-//! each run executes under `catch_unwind` with an optional deadline enforced
-//! by a [`Watchdog`]-cancelled [`Budget`], so a panicking or runaway
-//! algorithm is recorded as a failed cell and the sweep continues. Budget
-//! trips surface as [`RunOutcome::Partial`] carrying the sound partial FD
-//! set and the [`Termination`] reason.
+//! On top of the guards, [`Algo::run_isolated`] runs each attempt through
+//! [`fd_core::isolate`]: under `catch_unwind`, with an optional deadline
+//! enforced by a [`fd_core::Watchdog`]-cancelled [`Budget`], so a panicking
+//! or runaway algorithm is recorded as a failed cell and the sweep
+//! continues. Budget trips surface as [`RunOutcome::Partial`] carrying the
+//! sound partial FD set and the [`Termination`] reason.
 
-use fd_core::{Accuracy, Budget, DiscoveryError, FdSet, Termination, Watchdog};
+use fd_core::{isolate, Accuracy, Budget, DiscoveryError, FdSet, Termination};
 use fd_relation::{FdAlgorithm, Relation};
-use std::panic::AssertUnwindSafe;
 use std::time::{Duration, Instant};
 
 /// Outcome of one guarded run.
@@ -113,21 +112,17 @@ impl RunOutcome {
 /// Per-run isolation policy for [`Algo::run_isolated`] and
 /// [`run_isolated_algorithm`]: an optional wall-clock deadline (enforced
 /// cooperatively through the run's [`Budget`] and, belt-and-braces, by a
-/// [`Watchdog`] thread cancelling the shared token) and a bounded number of
+/// watchdog thread cancelling the shared token) and a bounded number of
 /// retries after a panic.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RunGuard {
     /// Cancel the run this long after it starts; `None` = no deadline.
     pub deadline: Option<Duration>,
     /// How many times to retry after a *transient* panic (0 = record the
-    /// first one). Only panics classified by [`is_transient_panic`] are
-    /// retried — a deterministic bug would fail identically every attempt,
-    /// so burning retries (and backoff sleeps) on it helps nobody.
+    /// first one). Only panics classified by [`fd_core::is_transient_panic`]
+    /// are retried: a deterministic bug would fail identically every
+    /// attempt.
     pub panic_retries: u32,
-    /// Base delay slept before retry attempt `k` (1-based), doubling each
-    /// attempt: `retry_backoff << (k-1)`. `ZERO` (the default) retries
-    /// immediately, preserving the historical behavior.
-    pub retry_backoff: Duration,
 }
 
 impl RunGuard {
@@ -141,32 +136,15 @@ impl RunGuard {
         self.panic_retries = n;
         self
     }
+}
 
-    /// Builder: exponential backoff base for retries (see
-    /// [`RunGuard::retry_backoff`]).
-    pub fn retry_backoff(mut self, base: Duration) -> Self {
-        self.retry_backoff = base;
-        self
-    }
-
-    /// Sleeps the backoff owed before retry attempt `attempt` (1-based) and
-    /// counts the retry; no-op for the first attempt or a zero base.
-    fn before_retry(&self, attempt: u32) {
-        if attempt == 0 {
-            return;
-        }
-        fd_telemetry::counter!("runner.panic_retries", 1);
-        let backoff = self.retry_backoff * 2u32.saturating_pow(attempt - 1);
-        if backoff > Duration::ZERO {
-            std::thread::sleep(backoff);
-        }
-    }
-
-    fn budget(&self) -> Budget {
-        match self.deadline {
-            Some(d) => Budget::with_deadline(d),
-            None => Budget::unlimited(),
-        }
+impl From<DiscoveryError> for RunOutcome {
+    fn from(error: DiscoveryError) -> Self {
+        let message = match error {
+            DiscoveryError::Panicked { message } => message,
+            other => other.to_string(),
+        };
+        RunOutcome::Panicked { message }
     }
 }
 
@@ -208,163 +186,117 @@ impl Algo {
         self.run_isolated(relation, RunGuard::default())
     }
 
-    /// Runs the algorithm under `guard`: the body executes inside
-    /// `catch_unwind`, a watchdog thread cancels the run's budget token at
-    /// the deadline, and panics are retried up to `guard.panic_retries`
-    /// times before being recorded as [`RunOutcome::Panicked`]. Each attempt
-    /// gets a fresh budget (the token is sticky once cancelled).
-    pub fn run_isolated(&self, relation: &Relation, guard: RunGuard) -> RunOutcome {
-        let mut last_panic = String::new();
-        for attempt in 0..=guard.panic_retries {
-            guard.before_retry(attempt);
-            let budget = guard.budget();
-            let watchdog =
-                guard.deadline.map(|d| Watchdog::arm(budget.token().clone(), d));
-            let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                self.run_budgeted(relation, &budget)
-            }));
-            drop(watchdog);
-            match result {
-                Ok(outcome) => return outcome,
-                Err(payload) => {
-                    last_panic = DiscoveryError::panic_message(payload.as_ref());
-                    if !is_transient_panic(&last_panic) {
-                        break;
-                    }
-                }
-            }
-        }
-        RunOutcome::Panicked { message: last_panic }
-    }
-
-    /// Runs the algorithm with its structural guards under an explicit
-    /// budget (no `catch_unwind` — see [`Algo::run_isolated`] for that).
+    /// Runs the algorithm under `guard` through [`fd_core::isolate`]: each
+    /// attempt gets a fresh budget carrying the deadline, a watchdog
+    /// thread cancels its token at the deadline, and panics are retried up
+    /// to `guard.panic_retries` times before being recorded as
+    /// [`RunOutcome::Panicked`].
     ///
     /// Budget-aware algorithms (Tane, EulerFD) poll the budget and return
     /// partial results on a trip; the others (Fdep, HyFD, AID-FD) only
-    /// observe an already-cancelled token before starting. An unlimited
-    /// budget reproduces the legacy outcomes bit-for-bit.
-    pub fn run_budgeted(&self, relation: &Relation, budget: &Budget) -> RunOutcome {
+    /// observe an already-cancelled token before starting. Without a
+    /// deadline the outcomes are those of the unbudgeted algorithms.
+    pub fn run_isolated(&self, relation: &Relation, guard: RunGuard) -> RunOutcome {
         let rows = relation.n_rows() as u64;
         let cols = relation.n_attrs() as u64;
-        if let Some(reason) = budget.token().reason() {
-            return RunOutcome::Partial { secs: 0.0, fds: FdSet::new(), termination: reason };
-        }
-        match self {
-            Algo::Tane => {
-                // Tane's lattice explodes in columns; the paper records ML on
-                // plista (63), flight (109), uniprot (223) and on weather /
-                // lineitem (row-heavy partitions at deep levels).
-                if cols > 40 {
-                    return RunOutcome::MemoryLimit;
-                }
-                if rows * cols > 4_000_000 {
-                    return RunOutcome::MemoryLimit;
-                }
-                let tane = fd_baselines::Tane::with_level_limit(2_000_000);
-                let start = Instant::now();
-                match tane.discover_budgeted(relation, budget) {
-                    (fds, Termination::Converged) => {
-                        RunOutcome::Completed { secs: start.elapsed().as_secs_f64(), fds }
-                    }
-                    // With no live budget the only trip is the structural
-                    // width guard: the legacy ML cell.
-                    (_, Termination::MemoryBudget) if budget.is_unlimited() => {
-                        RunOutcome::MemoryLimit
-                    }
-                    (fds, termination) => RunOutcome::Partial {
-                        secs: start.elapsed().as_secs_f64(),
-                        fds,
-                        termination,
-                    },
-                }
+        let run = |budget: &Budget| {
+            if let Some(reason) = budget.token().reason() {
+                return RunOutcome::Partial { secs: 0.0, fds: FdSet::new(), termination: reason };
             }
-            Algo::Fdep => {
-                // Quadratic in rows: the paper records TL/ML on the largest
-                // datasets while completing adult/chess/nursery in minutes;
-                // the pair budget is sized to reproduce that split.
-                let fdep = fd_baselines::Fdep::with_pair_limit(1_200_000_000);
-                let start = Instant::now();
-                match fdep.negative_cover(relation) {
-                    Some(ncover) => {
-                        let fds = fd_core::invert_ncover(&ncover).to_fdset();
-                        RunOutcome::Completed { secs: start.elapsed().as_secs_f64(), fds }
+            match self {
+                Algo::Tane => {
+                    // Tane's lattice explodes in columns; the paper records ML on
+                    // plista (63), flight (109), uniprot (223) and on weather /
+                    // lineitem (row-heavy partitions at deep levels).
+                    if cols > 40 {
+                        return RunOutcome::MemoryLimit;
                     }
-                    None => RunOutcome::TimeLimit,
-                }
-            }
-            Algo::HyFd => {
-                // HyFD validates against the whole instance; on very wide
-                // schemas the candidate tree itself is the bottleneck (the
-                // paper records TL on uniprot's 223 columns).
-                if cols > 150 {
-                    return RunOutcome::TimeLimit;
-                }
-                let start = Instant::now();
-                let fds = fd_baselines::HyFd::default().discover(relation);
-                RunOutcome::Completed { secs: start.elapsed().as_secs_f64(), fds }
-            }
-            Algo::AidFd => {
-                let start = Instant::now();
-                let fds = fd_baselines::AidFd::default().discover(relation);
-                RunOutcome::Completed { secs: start.elapsed().as_secs_f64(), fds }
-            }
-            Algo::EulerFd => {
-                let start = Instant::now();
-                let (fds, report) = eulerfd::EulerFd::new().discover_budgeted(relation, budget);
-                if report.termination.is_partial() {
-                    RunOutcome::Partial {
-                        secs: start.elapsed().as_secs_f64(),
-                        fds,
-                        termination: report.termination,
+                    if rows * cols > 4_000_000 {
+                        return RunOutcome::MemoryLimit;
                     }
-                } else {
+                    let tane = fd_baselines::Tane::with_level_limit(2_000_000);
+                    let start = Instant::now();
+                    match tane.discover_budgeted(relation, budget) {
+                        (fds, Termination::Converged) => {
+                            RunOutcome::Completed { secs: start.elapsed().as_secs_f64(), fds }
+                        }
+                        // With no live budget the only trip is the structural
+                        // width guard: the legacy ML cell.
+                        (_, Termination::MemoryBudget) if budget.is_unlimited() => {
+                            RunOutcome::MemoryLimit
+                        }
+                        (fds, termination) => RunOutcome::Partial {
+                            secs: start.elapsed().as_secs_f64(),
+                            fds,
+                            termination,
+                        },
+                    }
+                }
+                Algo::Fdep => {
+                    // Quadratic in rows: the paper records TL/ML on the largest
+                    // datasets while completing adult/chess/nursery in minutes;
+                    // the pair budget is sized to reproduce that split.
+                    let fdep = fd_baselines::Fdep::with_pair_limit(1_200_000_000);
+                    let start = Instant::now();
+                    match fdep.negative_cover(relation) {
+                        Some(ncover) => {
+                            let fds = fd_core::invert_ncover(&ncover).to_fdset();
+                            RunOutcome::Completed { secs: start.elapsed().as_secs_f64(), fds }
+                        }
+                        None => RunOutcome::TimeLimit,
+                    }
+                }
+                Algo::HyFd => {
+                    // HyFD validates against the whole instance; on very wide
+                    // schemas the candidate tree itself is the bottleneck (the
+                    // paper records TL on uniprot's 223 columns).
+                    if cols > 150 {
+                        return RunOutcome::TimeLimit;
+                    }
+                    let start = Instant::now();
+                    let fds = fd_baselines::HyFd::default().discover(relation);
                     RunOutcome::Completed { secs: start.elapsed().as_secs_f64(), fds }
                 }
+                Algo::AidFd => {
+                    let start = Instant::now();
+                    let fds = fd_baselines::AidFd::default().discover(relation);
+                    RunOutcome::Completed { secs: start.elapsed().as_secs_f64(), fds }
+                }
+                Algo::EulerFd => {
+                    let start = Instant::now();
+                    let (fds, report) = eulerfd::EulerFd::new().discover_budgeted(relation, budget);
+                    if report.termination.is_partial() {
+                        RunOutcome::Partial {
+                            secs: start.elapsed().as_secs_f64(),
+                            fds,
+                            termination: report.termination,
+                        }
+                    } else {
+                        RunOutcome::Completed { secs: start.elapsed().as_secs_f64(), fds }
+                    }
+                }
             }
-        }
+        };
+        isolate(|| Budget::from_deadline(guard.deadline), guard.deadline, guard.panic_retries, run)
+            .unwrap_or_else(RunOutcome::from)
     }
 }
 
 /// [`Algo::run_isolated`] for an arbitrary [`FdAlgorithm`]: times the run,
-/// catches panics, and retries per the guard. The deadline is advisory here
-/// — a plain `FdAlgorithm` has no budget to poll, so the watchdog cannot
-/// stop it cooperatively; the guard still bounds budget-aware algorithms
-/// invoked through their trait object and still isolates panics, which is
+/// catches panics, and retries per the guard. The guard's deadline does not
+/// apply: a plain `FdAlgorithm` has no budget to poll. Panic isolation is
 /// what sweep code needs to survive a hostile cell.
 pub fn run_isolated_algorithm(
     algo: &dyn FdAlgorithm,
     relation: &Relation,
     guard: RunGuard,
 ) -> RunOutcome {
-    let mut last_panic = String::new();
-    for attempt in 0..=guard.panic_retries {
-        guard.before_retry(attempt);
+    isolate(Budget::unlimited, None, guard.panic_retries, |_| {
         let start = Instant::now();
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| algo.discover(relation)));
-        match result {
-            Ok(fds) => {
-                return RunOutcome::Completed { secs: start.elapsed().as_secs_f64(), fds }
-            }
-            Err(payload) => {
-                last_panic = DiscoveryError::panic_message(payload.as_ref());
-                if !is_transient_panic(&last_panic) {
-                    break;
-                }
-            }
-        }
-    }
-    RunOutcome::Panicked { message: last_panic }
-}
-
-/// Classifies a panic message as *transient* — worth one of a
-/// [`RunGuard`]'s bounded retries. Injected `fd-faults` panics qualify (a
-/// retry advances the site's hit counter past the firing schedule), as does
-/// anything that self-describes as transient (e.g. a flaky I/O wrapper).
-/// Everything else is assumed deterministic: retrying a real bug wastes the
-/// attempts and the backoff sleeps.
-pub fn is_transient_panic(message: &str) -> bool {
-    fd_faults::is_injected_panic(message) || message.contains("transient")
+        let fds = algo.discover(relation);
+        RunOutcome::Completed { secs: start.elapsed().as_secs_f64(), fds }
+    })
+    .unwrap_or_else(RunOutcome::from)
 }
 
 /// Computes the exact FD set to score approximate algorithms against,
@@ -430,123 +362,5 @@ mod tests {
         let dead = RunOutcome::Panicked { message: "boom".into() };
         assert_eq!(dead.time_cell(), "panic");
         assert_eq!(dead.termination(), Termination::Panicked);
-    }
-
-    /// An algorithm that always panics — a stand-in for a buggy baseline.
-    struct Bomb;
-    impl FdAlgorithm for Bomb {
-        fn name(&self) -> &str {
-            "Bomb"
-        }
-        fn discover(&self, _relation: &Relation) -> FdSet {
-            panic!("injected fault")
-        }
-    }
-
-    /// Panics on the first call, succeeds afterwards.
-    struct FlakyOnce(std::sync::atomic::AtomicU32);
-    impl FdAlgorithm for FlakyOnce {
-        fn name(&self) -> &str {
-            "FlakyOnce"
-        }
-        fn discover(&self, relation: &Relation) -> FdSet {
-            if self.0.fetch_add(1, std::sync::atomic::Ordering::SeqCst) == 0 {
-                panic!("transient fault");
-            }
-            fd_baselines::Tane::new().discover(relation)
-        }
-    }
-
-    #[test]
-    fn panicking_algorithm_is_recorded_not_fatal() {
-        let r = patient();
-        let out = run_isolated_algorithm(&Bomb, &r, RunGuard::default());
-        match out {
-            RunOutcome::Panicked { message } => assert_eq!(message, "injected fault"),
-            other => panic!("expected Panicked, got {other:?}"),
-        }
-        // The sweep can keep going: a healthy run afterwards still works.
-        assert!(Algo::Tane.run(&r).fds().is_some());
-    }
-
-    /// Panics every call with a message that is *not* transient-classified,
-    /// counting attempts.
-    struct CountingBomb(std::sync::atomic::AtomicU32);
-    impl FdAlgorithm for CountingBomb {
-        fn name(&self) -> &str {
-            "CountingBomb"
-        }
-        fn discover(&self, _relation: &Relation) -> FdSet {
-            self.0.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            panic!("deterministic bug: index out of range")
-        }
-    }
-
-    #[test]
-    fn deterministic_panics_are_not_retried() {
-        let r = patient();
-        let bomb = CountingBomb(std::sync::atomic::AtomicU32::new(0));
-        let out = run_isolated_algorithm(&bomb, &r, RunGuard::default().panic_retries(3));
-        assert!(matches!(out, RunOutcome::Panicked { .. }));
-        assert_eq!(
-            bomb.0.load(std::sync::atomic::Ordering::SeqCst),
-            1,
-            "a non-transient panic must consume exactly one attempt"
-        );
-        assert!(!is_transient_panic("deterministic bug: index out of range"));
-        assert!(is_transient_panic("transient fault"));
-        assert!(is_transient_panic(&format!("{}some.site", fd_faults::PANIC_PREFIX)));
-    }
-
-    #[test]
-    fn retry_backoff_sleeps_between_attempts() {
-        let r = patient();
-        let flaky = FlakyOnce(std::sync::atomic::AtomicU32::new(0));
-        let guard = RunGuard::default()
-            .panic_retries(1)
-            .retry_backoff(Duration::from_millis(10));
-        let start = Instant::now();
-        let out = run_isolated_algorithm(&flaky, &r, guard);
-        assert!(out.fds().is_some(), "retry should recover: {out:?}");
-        assert!(
-            start.elapsed() >= Duration::from_millis(9),
-            "backoff must be slept before the retry"
-        );
-    }
-
-    #[test]
-    fn panic_retry_recovers_transient_faults() {
-        let r = patient();
-        let flaky = FlakyOnce(std::sync::atomic::AtomicU32::new(0));
-        let out = run_isolated_algorithm(&flaky, &r, RunGuard::default().panic_retries(1));
-        assert!(out.fds().is_some(), "retry should recover: {out:?}");
-        let flaky2 = FlakyOnce(std::sync::atomic::AtomicU32::new(0));
-        let out2 = run_isolated_algorithm(&flaky2, &r, RunGuard::default());
-        assert!(matches!(out2, RunOutcome::Panicked { .. }), "no retries: {out2:?}");
-    }
-
-    #[test]
-    fn precancelled_budget_yields_empty_partial() {
-        let r = patient();
-        let budget = Budget::unlimited();
-        budget.token().cancel();
-        let out = Algo::EulerFd.run_budgeted(&r, &budget);
-        match out {
-            RunOutcome::Partial { fds, termination, .. } => {
-                assert!(fds.is_empty());
-                assert_eq!(termination, Termination::Cancelled);
-            }
-            other => panic!("expected Partial, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn unlimited_isolated_run_matches_legacy() {
-        let r = patient();
-        for algo in Algo::ALL {
-            let legacy = algo.run_budgeted(&r, &Budget::unlimited());
-            let isolated = algo.run_isolated(&r, RunGuard::default());
-            assert_eq!(legacy.fds(), isolated.fds(), "{}", algo.name());
-        }
     }
 }

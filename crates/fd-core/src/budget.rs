@@ -182,6 +182,13 @@ impl Budget {
         Budget { deadline: Some(Instant::now() + timeout), ..Self::default() }
     }
 
+    /// [`Budget::with_deadline`] for `Some(timeout)`, [`Budget::unlimited`]
+    /// for `None`: the one rule turning an optional run deadline into a
+    /// budget.
+    pub fn from_deadline(timeout: Option<Duration>) -> Self {
+        timeout.map_or_else(Self::unlimited, Self::with_deadline)
+    }
+
     /// Builder: cap the number of tuple pairs sampled/compared.
     pub fn pair_cap(mut self, max_pairs: u64) -> Self {
         self.max_pairs = Some(max_pairs);
@@ -304,16 +311,16 @@ impl Budget {
 /// A deadline watchdog: a helper thread that cancels a [`CancelToken`] with
 /// [`Termination::DeadlineExceeded`] once the deadline passes, unless
 /// disarmed first. Guards code that polls the token frequently but should
-/// not pay for `Instant::now()` in its hot loop — and, armed by the bench
-/// runner, bounds algorithms whose budget polls are sparse.
+/// not pay for `Instant::now()` in its hot loop — and, armed by
+/// [`crate::isolate`], bounds runs whose budget polls are sparse.
 ///
 /// # Drop semantics
 ///
 /// Dropping an armed watchdog — with or without calling
 /// [`Watchdog::disarm`] first — disarms it: the helper thread is woken,
 /// joined, and the token is left untouched if the deadline has not yet
-/// passed. A guard going out of scope early (a panic unwinding through the
-/// bench runner, an early return) therefore never fires a spurious
+/// passed. A guard going out of scope early (an attempt in
+/// [`crate::isolate`] ending in a panic, an early return) therefore never fires a spurious
 /// cancellation into a token that outlives it. The only asymmetry with an
 /// explicit `disarm()` is lost-race timing: if the deadline elapses in the
 /// instant before the drop takes the state lock, the cancellation stands —

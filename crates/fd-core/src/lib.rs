@@ -42,6 +42,7 @@ pub mod fd;
 pub mod fd_tree;
 pub mod hash;
 pub mod index;
+pub mod isolate;
 pub mod lhs_tree;
 pub mod metrics;
 pub mod naive;
@@ -57,6 +58,7 @@ pub use fd::{Fd, FdSet};
 pub use fd_tree::FdTree;
 pub use hash::{FastHashMap, FastHashSet, FxHasher};
 pub use index::FdIndex;
+pub use isolate::{is_transient_panic, isolate};
 pub use lhs_tree::LhsTree;
 pub use metrics::Accuracy;
 pub use naive::NaiveLhsStore;

@@ -30,8 +30,8 @@
 //!
 //! * **Panic** and **Delay** are performed *by the injection layer itself*
 //!   (the macro panics with [`PANIC_PREFIX`]` + site`, or sleeps). Sites
-//!   need no handling code; panics are meant to be contained by the bench
-//!   runner's `catch_unwind` isolation, and delays exercise rebalancing
+//!   need no handling code; panics are meant to be contained by
+//!   `fd_core::isolate`, and delays exercise rebalancing
 //!   (work stealing) and watchdog paths.
 //! * **AllocFail** and **BudgetTrip** are *cooperative*: [`inject!`]
 //!   returns `Some(`[`Injected`]`)` and the site decides how to degrade —
@@ -80,8 +80,8 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 /// The message prefix of every injected panic; [`is_injected_panic`] keys on
-/// it, and the bench runner classifies such panics as *transient* (worth a
-/// bounded retry).
+/// it, and `fd_core::is_transient_panic` classifies such panics as
+/// *transient* (worth a bounded retry).
 pub const PANIC_PREFIX: &str = "fd-faults: injected panic at ";
 
 /// True when `message` is the payload of a panic raised by [`inject!`].

@@ -21,9 +21,11 @@ pub struct Relation {
     name: String,
     column_names: Vec<String>,
     /// Column-major labels: `columns[a][t]` is the label of tuple `t` on
-    /// attribute `a`. Labels are dense per column: `0..n_distinct(a)`.
+    /// attribute `a`. Every label is below `n_distinct(a)`; after
+    /// [`Relation::apply_delta`] some labels below it may be unused.
     columns: Vec<Vec<u32>>,
-    /// Number of distinct labels per column.
+    /// Label bound per column: one past the largest label the column has
+    /// held (see [`Relation::n_distinct`]).
     distinct: Vec<u32>,
     n_rows: usize,
 }
@@ -103,28 +105,9 @@ impl Relation {
     /// (a delete can remove the last row of a label without compacting the
     /// label space, and never lowers the bound). That bound is exactly what
     /// [`crate::Partition::of_column`] needs for sizing, but it must never
-    /// drive semantic decisions — use [`Relation::n_distinct_exact`] or
-    /// [`Relation::is_constant`] for those.
+    /// drive semantic decisions — use [`Relation::is_constant`] for those.
     pub fn n_distinct(&self, a: AttrId) -> usize {
         self.distinct[a as usize] as usize
-    }
-
-    /// Exact number of distinct labels *present* in column `a`, counted by a
-    /// value scan. Agrees with [`Relation::n_distinct`] on freshly encoded
-    /// relations and stays correct after [`Relation::apply_delta`], where the
-    /// plain count is only a label bound. O(n) time, O(bound) scratch.
-    pub fn n_distinct_exact(&self, a: AttrId) -> usize {
-        let bound = self.n_distinct(a);
-        let mut seen = vec![false; bound];
-        let mut count = 0usize;
-        for &label in self.column(a) {
-            let s = &mut seen[label as usize];
-            if !*s {
-                *s = true;
-                count += 1;
-            }
-        }
-        count
     }
 
     /// The encoded labels of column `a`.
@@ -939,24 +922,17 @@ mod tests {
     }
 
     #[test]
-    fn n_distinct_exact_sees_through_delta_label_holes() {
+    fn is_constant_sees_through_delta_label_holes() {
         let mut r = Relation::from_encoded_columns(
             "c",
             vec!["x".into(), "y".into()],
             vec![vec![0, 1, 1, 2], vec![0, 1, 2, 3]],
         );
-        assert_eq!(r.n_distinct_exact(0), 3);
-        assert_eq!(r.n_distinct_exact(0), r.n_distinct(0));
         // Delete rows 0 and 3: column x keeps only label 1, but the bound
-        // stays 3 — above the true count of 1.
+        // stays 3.
         let _ = r.apply_delta(&[], &[0, 3]);
         assert!(r.n_distinct(0) > 1, "stale bound overshoots");
-        assert_eq!(r.n_distinct_exact(0), 1, "exact count sees the hole");
         assert!(r.is_constant(0));
-        // Empty relation: zero distinct values everywhere.
-        let _ = r.apply_delta(&[], &[0, 1]);
-        assert_eq!(r.n_distinct_exact(0), 0);
-        assert_eq!(r.n_distinct_exact(1), 0);
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //!   [`fd_core::Budget`] machinery: per-job deadline plus pair/cover caps
 //!   (the tenant-level caps are split across a tenant's outstanding jobs
 //!   via [`fd_core::Budget::share`]), cancellation via
-//!   [`fd_core::CancelToken`], and per-job panic isolation
-//!   (`catch_unwind` + [`fd_core::Watchdog`], the fd-bench RunGuard path).
+//!   [`fd_core::CancelToken`], and per-job panic isolation through
+//!   [`fd_core::isolate`], the helper the bench runner uses too.
 //!   Converged discovery results enter a cache keyed by
 //!   `(dataset, version, config)` as one shared [`DiscoveredFds`] that
 //!   carries its rendered JSON; applying a delta invalidates every entry
@@ -32,7 +32,7 @@
 //!   carries a scoped [`fd_telemetry::TelemetrySnapshot`] delta.
 //! * [`protocol`] — the thin line protocol behind `fdtool serve`: one
 //!   request per line over stdin/stdout or a Unix socket, one JSON object
-//!   per response line.
+//!   per response line, written by [`fd_telemetry::JsonWriter`].
 
 mod catalog;
 mod jobs;

@@ -46,8 +46,7 @@ use crate::jobs::{DiscoverOptions, JobOutcome, JobResult, Request, RowsSpec};
 use crate::metrics::TraceEntry;
 use crate::server::{Server, Session};
 use fd_core::{AttrId, AttrSet, FdSet};
-use fd_telemetry::{json_string, Window};
-use std::borrow::Cow;
+use fd_telemetry::{Aggregate, JsonWriter, Window};
 use std::io::{BufRead, BufReader, Write};
 
 /// Serves the line protocol over any reader/writer pair until EOF or
@@ -66,7 +65,7 @@ pub fn serve_lines<R: BufRead, W: Write>(
             continue;
         }
         if tokens[0] == "quit" {
-            writeln!(writer, "{}", ok_object(&[("bye", JsonValue::Bool(true))]))?;
+            writeln!(writer, "{}", ok_reply(0, |w| { w.key("bye").bool(true); }))?;
             writer.flush()?;
             break;
         }
@@ -105,19 +104,17 @@ pub fn serve_unix(server: &Server, path: &str) -> std::io::Result<()> {
 pub fn handle_command(server: &Server, session: &Session, tokens: &[&str]) -> String {
     match tokens {
         ["register", name, path] => match server.register_csv(name, path) {
-            Ok(info) => ok_object(&[
-                ("dataset", JsonValue::Str(info.name)),
-                ("version", JsonValue::Num(info.version as f64)),
-                ("rows", JsonValue::Num(info.rows as f64)),
-                ("cols", JsonValue::Num(info.cols as f64)),
-                ("fd_count", JsonValue::Num(info.fd_count as f64)),
-            ]),
+            Ok(info) => ok_reply(0, |w| {
+                w.key("dataset").string(&info.name).key("version").uint(info.version);
+                w.key("rows").uint(info.rows as u64).key("cols").uint(info.cols as u64);
+                w.key("fd_count").uint(info.fd_count as u64);
+            }),
             Err(e) => err_line(&e.to_string()),
         },
         ["submit", rest @ ..] if !rest.is_empty() => match parse_request(rest) {
             Ok(request) => {
                 let job = session.submit(request);
-                ok_object(&[("job", JsonValue::Num(job as f64))])
+                ok_reply(0, |w| { w.key("job").uint(job); })
             }
             Err(e) => err_line(&e),
         },
@@ -128,29 +125,28 @@ pub fn handle_command(server: &Server, session: &Session, tokens: &[&str]) -> St
         ["cancel", job] => match job.parse::<u64>() {
             Ok(job) => {
                 let cancelled = session.cancel(job);
-                ok_object(&[("cancelled", JsonValue::Bool(cancelled))])
+                ok_reply(0, |w| { w.key("cancelled").bool(cancelled); })
             }
             Err(_) => err_line("cancel: job id must be an integer"),
         },
         ["stats"] => {
             let stats = server.stats();
-            let datasets = server.catalog().list();
-            let outstanding: Vec<(String, String)> = stats
-                .outstanding_jobs
-                .iter()
-                .map(|&(sid, n)| (sid.to_string(), n.to_string()))
-                .collect();
-            ok_object(&[
-                ("jobs_completed", JsonValue::Num(stats.jobs_completed as f64)),
-                ("jobs_cancelled", JsonValue::Num(stats.jobs_cancelled as f64)),
-                ("cache_hits", JsonValue::Num(stats.cache_hits as f64)),
-                ("cache_invalidations", JsonValue::Num(stats.cache_invalidations as f64)),
-                ("jobs_panicked", JsonValue::Num(stats.jobs_panicked as f64)),
-                ("datasets", JsonValue::Num(datasets.len() as f64)),
-                ("queue_depth", JsonValue::Num(stats.queue_depth as f64)),
-                ("worker_busy", JsonValue::Num(stats.worker_busy as f64)),
-                ("outstanding_jobs", JsonValue::Raw(render_object(&outstanding).into())),
-            ])
+            let datasets = server.catalog().list().len() as u64;
+            ok_reply(0, |w| {
+                w.key("jobs_completed").uint(stats.jobs_completed);
+                w.key("jobs_cancelled").uint(stats.jobs_cancelled);
+                w.key("cache_hits").uint(stats.cache_hits);
+                w.key("cache_invalidations").uint(stats.cache_invalidations);
+                w.key("jobs_panicked").uint(stats.jobs_panicked);
+                w.key("datasets").uint(datasets);
+                w.key("queue_depth").uint(stats.queue_depth);
+                w.key("worker_busy").uint(stats.worker_busy);
+                w.key("outstanding_jobs").begin_object();
+                for &(session, n) in &stats.outstanding_jobs {
+                    w.key(&session.to_string()).uint(n);
+                }
+                w.end_object();
+            })
         }
         ["metrics"] => match metrics_unavailable(server) {
             Some(err) => err,
@@ -262,88 +258,58 @@ fn render_fd(lhs: &AttrSet, rhs: AttrId) -> String {
 pub fn render_fds(fds: &FdSet) -> String {
     let mut rendered: Vec<String> = fds.iter().map(|fd| render_fd(&fd.lhs, fd.rhs)).collect();
     rendered.sort_unstable();
-    let quoted: Vec<String> = rendered.iter().map(|s| json_string(s)).collect();
-    format!("[{}]", quoted.join(","))
+    let bytes: usize = rendered.iter().map(|s| s.len() + 3).sum();
+    let mut w = JsonWriter::with_capacity(bytes + 2);
+    w.begin_array();
+    for fd in &rendered {
+        w.string(fd);
+    }
+    w.end_array();
+    w.finish()
 }
 
 fn render_result(result: &JobResult) -> String {
-    let mut fields: Vec<(&str, JsonValue)> = vec![
-        ("job", JsonValue::Num(result.job as f64)),
-        ("wall_ms", JsonValue::Num(result.wall.as_secs_f64() * 1e3)),
-    ];
-    match &result.outcome {
-        JobOutcome::Discovered { version, fds, termination, from_cache } => {
-            fields.push(("version", JsonValue::Num(*version as f64)));
-            fields.push(("termination", JsonValue::Str(termination.as_str().to_owned())));
-            fields.push(("from_cache", JsonValue::Bool(*from_cache)));
-            fields.push(("fd_count", JsonValue::Num(fds.len() as f64)));
-            fields.push(("fds", JsonValue::Raw(fds.json().into())));
-        }
-        JobOutcome::Validated { version, holds } => {
-            fields.push(("version", JsonValue::Num(*version as f64)));
-            fields.push(("holds", JsonValue::Bool(*holds)));
-        }
-        JobOutcome::Keys { version, keys, fd_count } => {
-            let rendered: Vec<String> = keys
-                .iter()
-                .map(|k| {
-                    let attrs: Vec<String> = k.iter().map(|a| a.to_string()).collect();
-                    json_string(&attrs.join(","))
-                })
-                .collect();
-            fields.push(("version", JsonValue::Num(*version as f64)));
-            fields.push(("fd_count", JsonValue::Num(*fd_count as f64)));
-            fields.push(("keys", JsonValue::Raw(format!("[{}]", rendered.join(",")).into())));
-        }
-        JobOutcome::DeltaApplied { version, rows, rows_inserted, rows_deleted } => {
-            fields.push(("version", JsonValue::Num(*version as f64)));
-            fields.push(("rows", JsonValue::Num(*rows as f64)));
-            fields.push(("rows_inserted", JsonValue::Num(*rows_inserted as f64)));
-            fields.push(("rows_deleted", JsonValue::Num(*rows_deleted as f64)));
-        }
-        JobOutcome::Cancelled { reason } => {
-            fields.push(("cancelled", JsonValue::Bool(true)));
-            fields.push(("reason", JsonValue::Str(reason.as_str().to_owned())));
-        }
+    // Sized up front: a discovery reply carries its pre-rendered FD array.
+    let fds_bytes = match &result.outcome {
         JobOutcome::Failed { error } => return err_line(error),
-    }
-    if let Some(snapshot) = &result.telemetry {
-        // The snapshot serializer pretty-prints; the line protocol demands
-        // exactly one line per response, so strip inter-token whitespace.
-        fields.push(("telemetry", JsonValue::Raw(compact_json(&snapshot.to_json()).into())));
-    }
-    ok_object(&fields)
-}
-
-/// Compacts pretty-printed JSON to a single line: drops all whitespace
-/// outside string literals (string contents, including escapes, pass
-/// through untouched).
-fn compact_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut in_str = false;
-    let mut escaped = false;
-    for c in s.chars() {
-        if in_str {
-            out.push(c);
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_str = false;
+        JobOutcome::Discovered { fds, .. } => fds.json().len(),
+        _ => 0,
+    };
+    ok_reply(fds_bytes, |w| {
+        w.key("job").uint(result.job).key("wall_ms").number(result.wall.as_secs_f64() * 1e3);
+        match &result.outcome {
+            JobOutcome::Discovered { version, fds, termination, from_cache } => {
+                w.key("version").uint(*version).key("termination").string(termination.as_str());
+                w.key("from_cache").bool(*from_cache).key("fd_count").uint(fds.len() as u64);
+                w.key("fds").raw(fds.json());
             }
-        } else {
-            match c {
-                '"' => {
-                    in_str = true;
-                    out.push(c);
+            JobOutcome::Validated { version, holds } => {
+                w.key("version").uint(*version).key("holds").bool(*holds);
+            }
+            JobOutcome::Keys { version, keys, fd_count } => {
+                w.key("version").uint(*version).key("fd_count").uint(*fd_count as u64);
+                w.key("keys").begin_array();
+                for key in keys {
+                    let attrs: Vec<String> = key.iter().map(|a| a.to_string()).collect();
+                    w.string(&attrs.join(","));
                 }
-                c if c.is_whitespace() => {}
-                c => out.push(c),
+                w.end_array();
             }
+            JobOutcome::DeltaApplied { version, rows, rows_inserted, rows_deleted } => {
+                w.key("version").uint(*version).key("rows").uint(*rows as u64);
+                w.key("rows_inserted").uint(*rows_inserted as u64);
+                w.key("rows_deleted").uint(*rows_deleted as u64);
+            }
+            JobOutcome::Cancelled { reason } => {
+                w.key("cancelled").bool(true).key("reason").string(reason.as_str());
+            }
+            JobOutcome::Failed { .. } => {} // answered above
         }
-    }
-    out
+        if let Some(snapshot) = &result.telemetry {
+            w.key("telemetry");
+            snapshot.write_json(w);
+        }
+    })
 }
 
 /// `Some(error line)` when the observability verbs cannot be served:
@@ -415,53 +381,19 @@ fn serve_subscribe<W: Write>(
     Ok(())
 }
 
-/// Formats a number the way [`JsonValue::Num`] does (integers without a
-/// fraction, non-finite never occurs for these sources).
-fn fmt_num(n: f64) -> String {
-    if !n.is_finite() {
-        return "null".to_owned();
-    }
-    if n.fract() == 0.0 && n.abs() < 9e15 {
-        format!("{}", n as i64)
-    } else {
-        format!("{n}")
-    }
-}
-
-/// Renders `{"key":value}` from pre-rendered value strings.
-fn render_object(fields: &[(String, String)]) -> String {
-    let body: Vec<String> =
-        fields.iter().map(|(k, v)| format!("{}:{v}", json_string(k))).collect();
-    format!("{{{}}}", body.join(","))
-}
-
-fn gauges_object(gauges: &[(String, f64)]) -> String {
-    let fields: Vec<(String, String)> =
-        gauges.iter().map(|(k, v)| (k.clone(), fmt_num(*v))).collect();
-    render_object(&fields)
-}
-
 /// One `subscribe` stream line: the window's identity, its counter deltas,
 /// and per-second rates over the window's own duration.
 fn render_window(window: &Window) -> String {
     let secs = window.duration.as_secs_f64();
-    let counters: Vec<(String, String)> =
-        window.delta.counters.iter().map(|(k, v)| (k.clone(), fmt_num(*v as f64))).collect();
-    let rates: Vec<(String, String)> = window
-        .delta
-        .counters
-        .iter()
-        .map(|(k, v)| (k.clone(), fmt_num(if secs > 0.0 { *v as f64 / secs } else { 0.0 })))
-        .collect();
-    ok_object(&[
-        ("window", JsonValue::Bool(true)),
-        ("seq", JsonValue::Num(window.seq as f64)),
-        ("unix_ms", JsonValue::Num(window.unix_ms as f64)),
-        ("window_ms", JsonValue::Num(window.duration.as_secs_f64() * 1e3)),
-        ("gauges", JsonValue::Raw(gauges_object(&window.gauges).into())),
-        ("counters", JsonValue::Raw(render_object(&counters).into())),
-        ("rates", JsonValue::Raw(render_object(&rates).into())),
-    ])
+    let counters = &window.delta.counters;
+    ok_reply(0, |w| {
+        w.key("window").bool(true).key("seq").uint(window.seq);
+        w.key("unix_ms").uint(window.unix_ms).key("window_ms").number(secs * 1e3);
+        w.number_map("gauges", window.gauges.iter().map(|(k, v)| (k, *v)));
+        w.number_map("counters", counters.iter().map(|(k, v)| (k, *v as f64)));
+        let rate = |v: u64| if secs > 0.0 { v as f64 / secs } else { 0.0 };
+        w.number_map("rates", counters.iter().map(|(k, v)| (k, rate(*v))));
+    })
 }
 
 /// The `metrics` reply: the fold of every retained window — counter sums
@@ -469,120 +401,66 @@ fn render_window(window: &Window) -> String {
 /// gauges, and the slow-job ring.
 fn render_metrics(server: &Server) -> String {
     let plane = server.metrics_plane().expect("caller checked metrics_unavailable");
-    let agg = plane.aggregate();
-    let counters: Vec<(String, String)> =
-        agg.counters.iter().map(|(k, v)| (k.clone(), fmt_num(*v as f64))).collect();
-    let rates: Vec<(String, String)> =
-        agg.rates().iter().map(|(k, v)| (k.clone(), fmt_num(*v))).collect();
-    let quantiles: Vec<(String, String)> = agg
-        .histograms
-        .iter()
-        .map(|(k, h)| {
-            (
-                k.clone(),
-                format!(
-                    "{{\"p50\":{},\"p95\":{},\"p99\":{}}}",
-                    fmt_num(h.quantile(0.5)),
-                    fmt_num(h.quantile(0.95)),
-                    fmt_num(h.quantile(0.99))
-                ),
-            )
-        })
-        .collect();
-    let slow: Vec<String> = plane
-        .slow_jobs()
-        .iter()
-        .map(|e| {
-            format!(
-                "{{\"job\":{},\"dataset\":{},\"wall_ms\":{}}}",
-                e.job,
-                json_string(&e.dataset),
-                fmt_num(e.wall.as_secs_f64() * 1e3)
-            )
-        })
-        .collect();
-    ok_object(&[
-        ("windows", JsonValue::Num(agg.windows as f64)),
-        ("seq_first", JsonValue::Num(agg.seq_first as f64)),
-        ("seq_last", JsonValue::Num(agg.seq_last as f64)),
-        ("span_ms", JsonValue::Num(agg.duration.as_secs_f64() * 1e3)),
-        ("gauges", JsonValue::Raw(gauges_object(&agg.gauges).into())),
-        ("counters", JsonValue::Raw(render_object(&counters).into())),
-        ("rates", JsonValue::Raw(render_object(&rates).into())),
-        ("quantiles", JsonValue::Raw(render_object(&quantiles).into())),
-        ("slow_jobs", JsonValue::Raw(format!("[{}]", slow.join(",")).into())),
-    ])
+    render_aggregate(&plane.aggregate(), &plane.slow_jobs())
+}
+
+/// The `metrics` reply for an aggregate and the slow-job ring.
+fn render_aggregate(agg: &Aggregate, slow_jobs: &[TraceEntry]) -> String {
+    ok_reply(0, |w| {
+        w.key("windows").uint(agg.windows as u64);
+        w.key("seq_first").uint(agg.seq_first).key("seq_last").uint(agg.seq_last);
+        w.key("span_ms").number(agg.duration.as_secs_f64() * 1e3);
+        w.number_map("gauges", agg.gauges.iter().map(|(k, v)| (k, *v)));
+        w.number_map("counters", agg.counters.iter().map(|(k, v)| (k, *v as f64)));
+        w.number_map("rates", agg.rates());
+        w.key("quantiles").begin_object();
+        for (name, h) in &agg.histograms {
+            let quantiles = [("p50", 0.5), ("p95", 0.95), ("p99", 0.99)];
+            w.number_map(name, quantiles.map(|(label, p)| (label, h.quantile(p))));
+        }
+        w.end_object().key("slow_jobs").begin_array();
+        for e in slow_jobs {
+            w.begin_object().key("job").uint(e.job).key("dataset").string(&e.dataset);
+            w.key("wall_ms").number(e.wall.as_secs_f64() * 1e3).end_object();
+        }
+        w.end_array();
+    })
 }
 
 /// The `trace <job>` reply: the retained span tree, spans in entry order
 /// with parent indices (`-1` for roots).
 fn render_trace(entry: &TraceEntry) -> String {
-    let spans: Vec<String> = entry
-        .trace
-        .spans
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            format!(
-                "{{\"id\":{i},\"parent\":{},\"name\":{},\"start_us\":{},\"wall_us\":{}}}",
-                s.parent.map_or(-1, |p| p as i64),
-                json_string(s.name),
-                s.start_ns / 1_000,
-                s.wall_ns / 1_000
-            )
-        })
-        .collect();
-    let root_wall_ms =
-        entry.trace.root().map_or(0.0, |r| r.wall_ns as f64 / 1e6);
-    ok_object(&[
-        ("job", JsonValue::Num(entry.job as f64)),
-        ("dataset", JsonValue::Str(entry.dataset.clone())),
-        ("wall_ms", JsonValue::Num(entry.wall.as_secs_f64() * 1e3)),
-        ("root_wall_ms", JsonValue::Num(root_wall_ms)),
-        ("dropped", JsonValue::Num(entry.trace.dropped as f64)),
-        ("spans", JsonValue::Raw(format!("[{}]", spans.join(",")).into())),
-    ])
-}
-
-enum JsonValue<'a> {
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    /// Pre-rendered JSON (arrays, nested objects) spliced in verbatim.
-    Raw(Cow<'a, str>),
-}
-
-fn ok_object(fields: &[(&str, JsonValue)]) -> String {
-    // Sized up front: a reply may splice in a large pre-rendered FD array.
-    let raw: usize = fields
-        .iter()
-        .map(|(_, v)| if let JsonValue::Raw(r) = v { r.len() } else { 0 })
-        .sum();
-    let mut out = String::with_capacity(raw + 32 * fields.len() + 16);
-    out.push_str("{\"ok\":true");
-    for (key, value) in fields {
-        out.push(',');
-        out.push_str(&json_string(key));
-        out.push(':');
-        match value {
-            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            JsonValue::Num(n) => {
-                if n.fract() == 0.0 && n.abs() < 9e15 {
-                    out.push_str(&format!("{}", *n as i64));
-                } else {
-                    out.push_str(&format!("{n}"));
-                }
-            }
-            JsonValue::Str(s) => out.push_str(&json_string(s)),
-            JsonValue::Raw(r) => out.push_str(r),
+    let root_wall_ms = entry.trace.root().map_or(0.0, |r| r.wall_ns as f64 / 1e6);
+    ok_reply(0, |w| {
+        w.key("job").uint(entry.job).key("dataset").string(&entry.dataset);
+        w.key("wall_ms").number(entry.wall.as_secs_f64() * 1e3);
+        w.key("root_wall_ms").number(root_wall_ms).key("dropped").uint(entry.trace.dropped);
+        w.key("spans").begin_array();
+        for (i, s) in entry.trace.spans.iter().enumerate() {
+            w.begin_object().key("id").uint(i as u64);
+            w.key("parent").number(s.parent.map_or(-1.0, f64::from));
+            w.key("name").string(s.name);
+            w.key("start_us").uint(s.start_ns / 1_000).key("wall_us").uint(s.wall_ns / 1_000);
+            w.end_object();
         }
-    }
-    out.push('}');
-    out
+        w.end_array();
+    })
+}
+
+/// A success reply, `{"ok":true,...}`, with the fields `fill` writes; sized
+/// for `extra` bytes of them beyond a short reply.
+fn ok_reply(extra: usize, fill: impl FnOnce(&mut JsonWriter)) -> String {
+    let mut w = JsonWriter::with_capacity(extra + 256);
+    w.begin_object().key("ok").bool(true);
+    fill(&mut w);
+    w.end_object();
+    w.finish()
 }
 
 fn err_line(error: &str) -> String {
-    format!("{{\"ok\":false,\"error\":{}}}", json_string(error))
+    let mut w = JsonWriter::with_capacity(error.len() + 32);
+    w.begin_object().key("ok").bool(false).key("error").string(error).end_object();
+    w.finish()
 }
 
 #[cfg(test)]
@@ -692,14 +570,6 @@ mod tests {
         assert!(lines[2].contains("\"bye\":true"), "{text}");
     }
 
-    #[test]
-    fn compact_json_preserves_strings() {
-        assert_eq!(
-            compact_json("{\n  \"a b\": 1,\n  \"c\": \"x \\\" y\"\n}"),
-            "{\"a b\":1,\"c\":\"x \\\" y\"}"
-        );
-    }
-
     #[cfg(feature = "telemetry")]
     #[test]
     fn telemetry_carrying_replies_stay_single_line() {
@@ -723,5 +593,212 @@ mod tests {
         fd_telemetry::set_enabled(false);
         assert!(reply.contains("\"telemetry\":{"), "armed server attaches the snapshot: {reply}");
         assert!(!reply.contains('\n'), "line protocol demands one line: {reply}");
+    }
+
+    /// Exact reply bytes, one per outcome, built from fixed inputs so that
+    /// no wall clock or scheduling enters them. Any change to how replies
+    /// are written must leave these bytes alone.
+    mod golden {
+        use super::*;
+        use crate::jobs::DiscoveredFds;
+        use fd_core::{Fd, Termination};
+        use fd_telemetry::{EventSnapshot, HistogramSnapshot, SpanRecord, TelemetrySnapshot, TraceTree};
+        use std::sync::Arc;
+        use std::time::Duration;
+
+        fn result(job: u64, wall: Duration, outcome: JobOutcome) -> JobResult {
+            JobResult { job, outcome, telemetry: None, wall }
+        }
+
+        fn discovered(from_cache: bool) -> JobOutcome {
+            let fds: FdSet = [
+                Fd::new(AttrSet::from_attrs([1u16, 2]), 0),
+                Fd::new(AttrSet::single(0), 1),
+                Fd::new(AttrSet::empty(), 3),
+            ]
+            .into_iter()
+            .collect();
+            JobOutcome::Discovered {
+                version: 1,
+                fds: DiscoveredFds::new(fds),
+                termination: Termination::Converged,
+                from_cache,
+            }
+        }
+
+        fn snapshot() -> TelemetrySnapshot {
+            TelemetrySnapshot {
+                version: 1,
+                compiled: true,
+                enabled: true,
+                counters: vec![("server.cache_hits".into(), 1), ("sampler.pairs".into(), 120)],
+                histograms: vec![(
+                    "span.server.job.ns".into(),
+                    HistogramSnapshot { count: 2, sum: 3000, max: 2000, buckets: vec![(10, 1), (11, 1)] },
+                )],
+                events: vec![EventSnapshot {
+                    name: "euler.cycle".into(),
+                    fields: vec![("cycle".into(), 0.0), ("gr_pcover".into(), 0.25)],
+                }],
+                events_dropped: 0,
+            }
+        }
+
+        #[test]
+        fn discover_miss_and_hit_replies() {
+            let miss = render_result(&result(1, Duration::from_micros(1500), discovered(false)));
+            assert_eq!(
+                miss,
+                r#"{"ok":true,"job":1,"wall_ms":1.5,"version":1,"termination":"converged","from_cache":false,"fd_count":3,"fds":["->3","0->1","1,2->0"]}"#
+            );
+            let hit = render_result(&result(2, Duration::from_micros(21), discovered(true)));
+            assert_eq!(
+                hit,
+                r#"{"ok":true,"job":2,"wall_ms":0.020999999999999998,"version":1,"termination":"converged","from_cache":true,"fd_count":3,"fds":["->3","0->1","1,2->0"]}"#
+            );
+        }
+
+        #[test]
+        fn validate_keys_and_delta_replies() {
+            let validated = JobOutcome::Validated { version: 2, holds: false };
+            assert_eq!(
+                render_result(&result(3, Duration::from_micros(250), validated)),
+                r#"{"ok":true,"job":3,"wall_ms":0.25,"version":2,"holds":false}"#
+            );
+            let keys = JobOutcome::Keys {
+                version: 3,
+                keys: vec![AttrSet::single(0), AttrSet::from_attrs([1u16, 2])],
+                fd_count: 4,
+            };
+            assert_eq!(
+                render_result(&result(4, Duration::from_millis(2), keys)),
+                r#"{"ok":true,"job":4,"wall_ms":2,"version":3,"fd_count":4,"keys":["0","1,2"]}"#
+            );
+            let delta =
+                JobOutcome::DeltaApplied { version: 4, rows: 10, rows_inserted: 2, rows_deleted: 1 };
+            assert_eq!(
+                render_result(&result(5, Duration::from_nanos(1_234_567), delta)),
+                r#"{"ok":true,"job":5,"wall_ms":1.234567,"version":4,"rows":10,"rows_inserted":2,"rows_deleted":1}"#
+            );
+        }
+
+        #[test]
+        fn cancelled_and_error_replies() {
+            let cancelled = JobOutcome::Cancelled { reason: Termination::DeadlineExceeded };
+            assert_eq!(
+                render_result(&result(6, Duration::ZERO, cancelled)),
+                r#"{"ok":true,"job":6,"wall_ms":0,"cancelled":true,"reason":"deadline"}"#
+            );
+            let failed = JobOutcome::Failed { error: "unknown dataset \"x\"\n\tgone".into() };
+            assert_eq!(
+                render_result(&result(7, Duration::from_millis(1), failed)),
+                r#"{"ok":false,"error":"unknown dataset \"x\"\n\tgone"}"#
+            );
+        }
+
+        #[test]
+        fn command_replies() {
+            let _serial = crate::server_test_lock();
+            let server = tiny_server();
+            let session = server.session();
+            assert_eq!(
+                handle_command(&server, &session, &["stats"]),
+                r#"{"ok":true,"jobs_completed":0,"jobs_cancelled":0,"cache_hits":0,"cache_invalidations":0,"jobs_panicked":0,"datasets":1,"queue_depth":0,"worker_busy":0,"outstanding_jobs":{}}"#
+            );
+            assert_eq!(
+                handle_command(&server, &session, &["frobnicate", "x"]),
+                r#"{"ok":false,"error":"unknown command 'frobnicate'"}"#
+            );
+            assert_eq!(
+                handle_command(&server, &session, &["cancel", "99"]),
+                r#"{"ok":true,"cancelled":false}"#
+            );
+            let mut output = Vec::new();
+            serve_lines(&server, &b"quit\n"[..], &mut output).expect("serve");
+            assert_eq!(String::from_utf8(output).expect("utf8"), "{\"ok\":true,\"bye\":true}\n");
+        }
+
+        #[test]
+        fn job_reply_carrying_telemetry() {
+            let mut with_snapshot =
+                result(8, Duration::from_micros(500), JobOutcome::Validated { version: 0, holds: true });
+            with_snapshot.telemetry = Some(snapshot());
+            assert_eq!(
+                render_result(&with_snapshot),
+                r#"{"ok":true,"job":8,"wall_ms":0.5,"version":0,"holds":true,"telemetry":{"schema":"fd-telemetry/v1","version":1,"compiled":true,"enabled":true,"counters":{"server.cache_hits":1,"sampler.pairs":120},"histograms":{"span.server.job.ns":{"count":2,"sum":3000,"max":2000,"buckets":[[10,1],[11,1]]}},"events":[{"name":"euler.cycle","fields":{"cycle":0,"gr_pcover":0.25}}],"events_dropped":0}}"#
+            );
+        }
+
+        #[test]
+        fn subscribe_window_reply() {
+            let window = Window {
+                seq: 7,
+                unix_ms: 1_700_000_000_123,
+                duration: Duration::from_secs(2),
+                delta: TelemetrySnapshot {
+                    counters: vec![("server.jobs_completed".into(), 5), ("server.cache_hits".into(), 3)],
+                    ..TelemetrySnapshot::default()
+                },
+                gauges: vec![("queue_depth".into(), 2.0), ("worker_busy".into(), 0.5)],
+            };
+            assert_eq!(
+                render_window(&window),
+                r#"{"ok":true,"window":true,"seq":7,"unix_ms":1700000000123,"window_ms":2000,"gauges":{"queue_depth":2,"worker_busy":0.5},"counters":{"server.jobs_completed":5,"server.cache_hits":3},"rates":{"server.jobs_completed":2.5,"server.cache_hits":1.5}}"#
+            );
+        }
+
+        #[test]
+        fn metrics_reply() {
+            let agg = Aggregate {
+                windows: 3,
+                seq_first: 5,
+                seq_last: 7,
+                duration: Duration::from_secs(3),
+                counters: vec![("server.jobs_completed".into(), 9)],
+                histograms: vec![(
+                    "server.job_wall_us".into(),
+                    HistogramSnapshot { count: 4, sum: 10000, max: 5000, buckets: vec![(10, 2), (13, 2)] },
+                )],
+                gauges: vec![("queue_depth".into(), 1.0)],
+            };
+            let slow = TraceEntry {
+                job: 4,
+                dataset: "weather".into(),
+                wall: Duration::from_millis(300),
+                trace: Arc::new(TraceTree::default()),
+            };
+            assert_eq!(
+                render_aggregate(&agg, &[slow]),
+                r#"{"ok":true,"windows":3,"seq_first":5,"seq_last":7,"span_ms":3000,"gauges":{"queue_depth":1},"counters":{"server.jobs_completed":9},"rates":{"server.jobs_completed":3},"quantiles":{"server.job_wall_us":{"p50":895.25,"p95":5000,"p99":5000}},"slow_jobs":[{"job":4,"dataset":"weather","wall_ms":300}]}"#
+            );
+        }
+
+        #[test]
+        fn trace_reply() {
+            let span = |name, parent, start_ns, wall_ns| SpanRecord {
+                name,
+                parent,
+                start_ns,
+                wall_ns,
+                finished: true,
+            };
+            let entry = TraceEntry {
+                job: 9,
+                dataset: "adult".into(),
+                wall: Duration::from_micros(2500),
+                trace: Arc::new(TraceTree {
+                    trace_id: 9,
+                    spans: vec![
+                        span("server.job", None, 0, 2_400_000),
+                        span("server.discover", Some(0), 10_000, 2_300_000),
+                    ],
+                    dropped: 0,
+                }),
+            };
+            assert_eq!(
+                render_trace(&entry),
+                r#"{"ok":true,"job":9,"dataset":"adult","wall_ms":2.5,"root_wall_ms":2.4,"dropped":0,"spans":[{"id":0,"parent":-1,"name":"server.job","start_us":0,"wall_us":2400},{"id":1,"parent":0,"name":"server.discover","start_us":10,"wall_us":2300}]}"#
+            );
+        }
     }
 }

@@ -7,13 +7,10 @@ use crate::jobs::{
 };
 use crate::metrics::{MetricsConfig, MetricsPlane, TraceEntry};
 use eulerfd::EulerFd;
-use fd_core::{
-    candidate_keys, AttrSet, Budget, CancelToken, DiscoveryError, Termination, Watchdog,
-};
+use fd_core::{candidate_keys, isolate, AttrSet, Budget, CancelToken, DiscoveryError, Termination};
 use fd_relation::CsvOptions;
 use fd_telemetry::TelemetrySnapshot;
 use std::collections::{BTreeMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -522,28 +519,23 @@ fn execute_job(
     // tree (they still feed the global histograms).
     let traced =
         shared.metrics.is_some() && fd_telemetry::trace_begin(job, fd_telemetry::DEFAULT_TRACE_CAP);
-    let budget = job_budget(&shared.config, parts, token.clone());
-    // The watchdog backstops code stuck between budget polls; its Drop
-    // disarms it on every exit path, including panic unwinding. Armed
-    // before `started` so its thread-spawn cost stays out of the wall time
-    // the trace root is compared against.
-    let _watchdog = shared
-        .config
-        .job_deadline
-        .map(|d| Watchdog::arm(token.clone(), d + WATCHDOG_GRACE));
     let started = Instant::now();
     let outcome = {
         let _root = fd_telemetry::span!("server.job");
-        match catch_unwind(AssertUnwindSafe(|| run_request(shared, request, &budget))) {
-            Ok(outcome) => outcome,
-            Err(panic) => {
+        // The watchdog backstops code stuck between budget polls.
+        let watchdog = shared.config.job_deadline.map(|d| d + WATCHDOG_GRACE);
+        let budget = || job_budget(&shared.config, parts, token.clone());
+        isolate(budget, watchdog, 0, |budget| run_request(shared, request, budget))
+            .unwrap_or_else(|error| {
                 shared.stats.jobs_panicked.fetch_add(1, Ordering::Relaxed);
                 fd_telemetry::counter!("server.jobs_panicked", 1);
                 token.cancel_with(Termination::Panicked);
-                let msg = DiscoveryError::panic_message(panic.as_ref());
+                let msg = match error {
+                    DiscoveryError::Panicked { message } => message,
+                    other => other.to_string(),
+                };
                 JobOutcome::Failed { error: format!("job panicked (isolated): {msg}") }
-            }
-        }
+            })
     };
     let wall = started.elapsed();
     fd_telemetry::observe!("server.job_wall_us", wall.as_micros() as u64);
@@ -687,7 +679,7 @@ fn run_discover(
     // discovery per dataset keeps its maintenance trivially correct. Jobs
     // against *other* datasets proceed in parallel; cancellation still
     // lands mid-run via the budget's token.
-    let (fds, report) = euler.discover_budgeted_cached(&snapshot, budget, ds.pli_mut());
+    let (fds, report) = euler.discover_budgeted_cached(&snapshot, budget, Some(ds.pli_mut()));
     drop(ds);
     let fds = DiscoveredFds::new(fds);
     match report.termination {

@@ -49,20 +49,21 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
+pub mod json;
 pub mod registry;
 pub mod series;
 pub mod snapshot;
 pub mod span;
 pub mod trace;
 
+pub use json::{json_string, JsonWriter};
 pub use registry::{
     bucket_of, bucket_upper_bound, registry, Counter, CounterSite, Event, Histogram,
     HistogramSite, HIST_BUCKETS, MAX_COUNTERS, MAX_EVENTS, MAX_HISTOGRAMS,
 };
 pub use series::{Aggregate, TimeSeries, Window, DEFAULT_RETENTION};
 pub use snapshot::{
-    json_string, prom_name, EventSnapshot, HistogramSnapshot, TelemetrySnapshot, SCHEMA,
-    SNAPSHOT_VERSION,
+    prom_name, EventSnapshot, HistogramSnapshot, TelemetrySnapshot, SCHEMA, SNAPSHOT_VERSION,
 };
 pub use span::{current_span, span_depth, SpanGuard};
 pub use trace::{

@@ -1,6 +1,6 @@
 //! Point-in-time export of the registry: a versioned, serializable
-//! [`TelemetrySnapshot`] with a hand-rolled JSON writer (the workspace has
-//! no serde) and a human-readable summary table.
+//! [`TelemetrySnapshot`], written as pretty or compact JSON, and a
+//! human-readable summary table.
 //!
 //! # Schema (`fd-telemetry/v1`)
 //!
@@ -27,6 +27,7 @@
 //! zeros. Consumers must ignore unknown keys: additions bump `version`,
 //! removals or meaning changes bump the `schema` string itself.
 
+use crate::json::{json_number, json_string, JsonWriter};
 use crate::registry::{bucket_upper_bound, registry, Event, HIST_BUCKETS};
 
 /// The schema identifier written to every export.
@@ -318,6 +319,35 @@ impl TelemetrySnapshot {
         out
     }
 
+    /// Writes the snapshot as one compact JSON object: the
+    /// [`TelemetrySnapshot::to_json`] document without its whitespace, as
+    /// a protocol reply embeds it.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object().key("schema").string(SCHEMA);
+        w.key("version").uint(u64::from(self.version));
+        w.key("compiled").bool(self.compiled).key("enabled").bool(self.enabled);
+        w.key("counters").begin_object();
+        for (name, v) in &self.counters {
+            w.key(name).uint(*v);
+        }
+        w.end_object().key("histograms").begin_object();
+        for (name, h) in &self.histograms {
+            w.key(name).begin_object();
+            w.key("count").uint(h.count).key("sum").uint(h.sum).key("max").uint(h.max);
+            w.key("buckets").begin_array();
+            for &(b, c) in &h.buckets {
+                w.begin_array().uint(u64::from(b)).uint(c).end_array();
+            }
+            w.end_array().end_object();
+        }
+        w.end_object().key("events").begin_array();
+        for e in &self.events {
+            w.begin_object().key("name").string(&e.name);
+            w.number_map("fields", e.fields.iter().map(|(k, v)| (k, *v))).end_object();
+        }
+        w.end_array().key("events_dropped").uint(self.events_dropped).end_object();
+    }
+
     /// Renders a human-readable summary table (the `--metrics-summary` view).
     pub fn summary(&self) -> String {
         let mut out = String::new();
@@ -411,58 +441,9 @@ pub fn prom_name(name: &str) -> String {
     out
 }
 
-/// Escapes a string as a JSON string literal (quotes included): quotes,
-/// backslashes, and control characters.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Formats an `f64` as a JSON number; non-finite values become `null`
-/// (JSON has no NaN/Infinity).
-fn json_number(v: f64) -> String {
-    if v.is_finite() {
-        if v == v.trunc() && v.abs() < 1e15 {
-            format!("{}", v as i64)
-        } else {
-            format!("{v}")
-        }
-    } else {
-        "null".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_string_escapes_specials() {
-        assert_eq!(json_string("plain"), "\"plain\"");
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
-    }
-
-    #[test]
-    fn json_number_handles_non_finite() {
-        assert_eq!(json_number(1.0), "1");
-        assert_eq!(json_number(0.25), "0.25");
-        assert_eq!(json_number(f64::NAN), "null");
-        assert_eq!(json_number(f64::INFINITY), "null");
-    }
 
     #[test]
     fn empty_snapshot_serializes_with_all_required_keys() {
@@ -475,6 +456,88 @@ mod tests {
             assert!(json.contains(key), "missing {key} in {json}");
         }
         assert!(json.contains("fd-telemetry/v1"));
+    }
+
+    #[test]
+    fn to_json_pins_the_pretty_v1_bytes() {
+        let snap = TelemetrySnapshot {
+            version: SNAPSHOT_VERSION,
+            compiled: true,
+            enabled: false,
+            counters: vec![("a.b".into(), 3), ("c".into(), 18_446_744_073_709_551_615)],
+            histograms: vec![(
+                "span.x.ns".into(),
+                HistogramSnapshot { count: 3, sum: 700, max: 400, buckets: vec![(8, 1), (9, 2)] },
+            )],
+            events: vec![
+                EventSnapshot { name: "e\"1".into(), fields: vec![("k".into(), 0.5), ("n".into(), f64::NAN)] },
+                EventSnapshot { name: "e2".into(), fields: vec![] },
+            ],
+            events_dropped: 2,
+        };
+        assert_eq!(
+            snap.to_json(),
+            concat!(
+                "{\n",
+                "  \"schema\": \"fd-telemetry/v1\",\n",
+                "  \"version\": 1,\n",
+                "  \"compiled\": true,\n",
+                "  \"enabled\": false,\n",
+                "  \"counters\": {\n",
+                "    \"a.b\": 3,\n",
+                "    \"c\": 18446744073709551615\n",
+                "  },\n",
+                "  \"histograms\": {\n",
+                "    \"span.x.ns\": {\"count\": 3, \"sum\": 700, \"max\": 400, \"buckets\": [[8, 1], [9, 2]]}\n",
+                "  },\n",
+                "  \"events\": [\n",
+                "    {\"name\": \"e\\\"1\", \"fields\": {\"k\": 0.5, \"n\": null}},\n",
+                "    {\"name\": \"e2\", \"fields\": {}}\n",
+                "  ],\n",
+                "  \"events_dropped\": 2\n",
+                "}\n"
+            )
+        );
+        let empty = TelemetrySnapshot { version: SNAPSHOT_VERSION, ..Default::default() };
+        assert_eq!(
+            empty.to_json(),
+            concat!(
+                "{\n",
+                "  \"schema\": \"fd-telemetry/v1\",\n",
+                "  \"version\": 1,\n",
+                "  \"compiled\": false,\n",
+                "  \"enabled\": false,\n",
+                "  \"counters\": {},\n",
+                "  \"histograms\": {},\n",
+                "  \"events\": [],\n",
+                "  \"events_dropped\": 0\n",
+                "}\n"
+            )
+        );
+    }
+
+    #[test]
+    fn write_json_is_the_pretty_document_without_whitespace() {
+        let snap = TelemetrySnapshot {
+            version: SNAPSHOT_VERSION,
+            compiled: true,
+            counters: vec![("c".into(), u64::MAX)],
+            events: vec![EventSnapshot {
+                name: "e\"1".into(),
+                fields: vec![("k".into(), 0.5), ("n".into(), f64::NAN)],
+            }],
+            ..Default::default()
+        };
+        let mut w = JsonWriter::default();
+        snap.write_json(&mut w);
+        assert_eq!(
+            w.finish(),
+            concat!(
+                r#"{"schema":"fd-telemetry/v1","version":1,"compiled":true,"enabled":false,"#,
+                r#""counters":{"c":18446744073709551615},"histograms":{},"#,
+                r#""events":[{"name":"e\"1","fields":{"k":0.5,"n":null}}],"events_dropped":0}"#
+            )
+        );
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! ```
 
 use eulerfd::EulerFd;
+use fd_core::Budget;
 use fd_relation::{synth, verify_fds};
 
 fn main() {
@@ -19,9 +20,10 @@ fn main() {
     );
 
     // Run EulerFD with the paper's default configuration
-    // (Th_Ncover = Th_Pcover = 0.01, 6 MLFQ queues).
+    // (Th_Ncover = Th_Pcover = 0.01, 6 MLFQ queues). An unlimited budget
+    // runs the double cycle to convergence; the report comes with the FDs.
     let algo = EulerFd::new();
-    let (fds, report) = algo.discover_with_report(&relation);
+    let (fds, report) = algo.discover_budgeted(&relation, &Budget::unlimited());
 
     println!("\ndiscovered {} non-trivial minimal FDs:", fds.len());
     for fd in &fds {

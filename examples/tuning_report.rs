@@ -8,7 +8,7 @@
 
 use eulerfd::{EulerFd, EulerFdConfig};
 use fd_baselines::HyFd;
-use fd_core::Accuracy;
+use fd_core::{Accuracy, Budget};
 use fd_relation::synth::dataset_spec;
 use fd_relation::FdAlgorithm;
 use std::time::Instant;
@@ -42,7 +42,7 @@ fn main() {
     ] {
         let algo = EulerFd::with_config(EulerFdConfig::with_thresholds(th_n, th_p));
         let start = Instant::now();
-        let (fds, report) = algo.discover_with_report(&relation);
+        let (fds, report) = algo.discover_budgeted(&relation, &Budget::unlimited());
         let ms = start.elapsed().as_secs_f64() * 1000.0;
         let f1 = Accuracy::of(&fds, &truth).f1;
         println!(
@@ -55,7 +55,7 @@ fn main() {
 
     // Show the growth-rate traces of the default configuration: the two
     // cycles' stopping signals.
-    let (_, report) = EulerFd::new().discover_with_report(&relation);
+    let (_, report) = EulerFd::new().discover_budgeted(&relation, &Budget::unlimited());
     let fmt = |v: &[f64]| {
         v.iter().map(|g| format!("{g:.4}")).collect::<Vec<_>>().join("  ")
     };

@@ -111,6 +111,15 @@ cargo test -q -p eulerfd --lib incremental::tests::pair_enumeration_reports_each
 cargo test -q -p fd-relation --lib relation::tests::nonfresh_masks_see_labels_past_the_old_bound_and_repeats_in_the_batch
 cargo test -q -p fd-relation --lib relation::tests::check_delta_rejects_what_apply_delta_cannot_take
 cargo test -q -p fd-server --lib server::tests::delta_with_an_oversized_label_fails_without_mutating
+# One-path gates: every protocol reply and the pretty `fd-telemetry/v1`
+# export keep their exact bytes (golden replies built from fixed inputs, in
+# both feature sets), and the one panic-isolation helper turns panics into
+# errors, fires its deadline watchdog and retries only transient panics.
+cargo test -q -p fd-server --lib protocol::tests::golden
+cargo test -q -p fd-server --features telemetry --lib protocol::tests::golden
+cargo test -q -p fd-telemetry --lib snapshot::tests::to_json_pins_the_pretty_v1_bytes
+cargo test -q -p fd-telemetry --lib json::tests
+cargo test -q -p fd-core --lib isolate::tests
 cargo clippy --workspace -- -D warnings -A clippy::needless_range_loop
 
 # The benchmark (fdbench/, its own workspace) must keep compiling against

@@ -43,7 +43,7 @@
 //! `--features telemetry` for the snapshot to carry data (an untelemetered
 //! build writes a valid, empty snapshot with `"compiled": false`).
 
-use eulerfd::EulerFd;
+use eulerfd::{DeltaEngine, EulerFd};
 use eulerfd_suite::baselines::{AidFd, FastFds, Fdep, HyFd, Tane};
 use eulerfd_suite::core::{bcnf_violations, candidate_keys, Accuracy, Budget, FdSet, Termination};
 use eulerfd_suite::relation::synth::{dataset_names, dataset_spec};
@@ -112,16 +112,6 @@ struct FileArgs {
 }
 
 impl FileArgs {
-    /// A fresh budget per run: the deadline clock starts when the run does,
-    /// not at argument parsing, so `compare` gives every algorithm the same
-    /// allowance.
-    fn budget(&self) -> Budget {
-        match self.deadline {
-            Some(d) => Budget::with_deadline(d),
-            None => Budget::unlimited(),
-        }
-    }
-
     /// Switches telemetry recording on when either metrics flag was given.
     fn arm_metrics(&self) {
         if self.metrics_out.is_some() || self.metrics_summary {
@@ -305,7 +295,7 @@ fn discover(args: &[String]) {
         fa.algo
     );
     let start = Instant::now();
-    let (fds, termination) = run_algo(&fa.algo, &relation, &fa.budget());
+    let (fds, termination) = run_algo(&fa.algo, &relation, &Budget::from_deadline(fa.deadline));
     if termination.is_partial() {
         eprintln!(
             "{} FDs in {:.3}s (budget tripped: {termination}; partial result)",
@@ -381,7 +371,7 @@ fn discover_delta(fa: &FileArgs) {
     }
 
     let start = Instant::now();
-    let mut engine = EulerFd::new().discover_incremental(&relation);
+    let mut engine = DeltaEngine::new(relation.clone(), 1);
     let cold_s = start.elapsed().as_secs_f64();
     eprintln!("cold discovery: {} FDs in {cold_s:.3}s", engine.fds().len());
 
@@ -400,7 +390,7 @@ fn discover_delta(fa: &FileArgs) {
 
     // Reference: what a from-scratch run on the mutated table costs.
     let start = Instant::now();
-    let cold_engine = EulerFd::new().discover_incremental(engine.relation());
+    let cold_engine = DeltaEngine::new(engine.relation().clone(), 1);
     let recold_s = start.elapsed().as_secs_f64();
     let identical = cold_engine.fds() == engine.fds();
     let fds = engine.fds();
@@ -427,7 +417,7 @@ fn keys(args: &[String]) {
     let fa = parse_file_args(args);
     fa.arm_metrics();
     let relation = load(&fa.path, &fa.options);
-    let (fds, termination) = run_algo(&fa.algo, &relation, &fa.budget());
+    let (fds, termination) = run_algo(&fa.algo, &relation, &Budget::from_deadline(fa.deadline));
     fa.emit_metrics();
     if termination.is_partial() {
         eprintln!("budget tripped ({termination}): keys below reflect a partial FD set");
@@ -464,7 +454,9 @@ fn compare(args: &[String]) {
     println!("{:<8} {:>10} {:>8} {:>7}", "algo", "time[ms]", "FDs", "F1");
     for name in ["tane", "fdep", "fastfds", "hyfd", "aid", "euler"] {
         let start = Instant::now();
-        let (fds, termination) = run_algo(name, &relation, &fa.budget());
+        // A budget per run: its deadline clock starts with the run, so
+        // every algorithm gets the same allowance.
+        let (fds, termination) = run_algo(name, &relation, &Budget::from_deadline(fa.deadline));
         let ms = start.elapsed().as_secs_f64() * 1000.0;
         let f1 = Accuracy::of(&fds, &truth).f1;
         let mark = if termination.is_partial() { "*" } else { "" };

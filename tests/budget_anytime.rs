@@ -65,7 +65,8 @@ fn unlimited_budget_is_invisible_for_eulerfd() {
     )
     .generate(150);
     for relation in [synth::patient(), second] {
-        let (plain, plain_report) = EulerFd::new().discover_with_report(&relation);
+        let (plain, plain_report) =
+            EulerFd::new().discover_budgeted(&relation, &Budget::unlimited());
         let (budgeted, report) =
             EulerFd::new().discover_budgeted(&relation, &Budget::unlimited());
         assert_eq!(plain, budgeted, "{}: unlimited budget changed the cover", relation.name());
@@ -108,7 +109,7 @@ proptest! {
             seed,
         );
         let relation = g.generate(120);
-        let (plain, _) = EulerFd::new().discover_with_report(&relation);
+        let plain = EulerFd::new().discover(&relation);
         let (budgeted, report) =
             EulerFd::new().discover_budgeted(&relation, &Budget::unlimited());
         prop_assert_eq!(report.termination, Termination::Converged);

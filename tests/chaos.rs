@@ -225,9 +225,7 @@ fn retry_with_backoff_recovers_an_injected_panic() {
         FaultAction::Panic,
         Schedule::Nth(1),
     ));
-    let guard = RunGuard::default()
-        .panic_retries(2)
-        .retry_backoff(Duration::from_millis(1));
+    let guard = RunGuard::default().panic_retries(2);
     let out = Algo::EulerFd.run_isolated(&relation, guard);
     match out {
         RunOutcome::Completed { fds, .. } => assert_eq!(fds, baseline),

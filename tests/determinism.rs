@@ -37,8 +37,8 @@ fn discovery_is_run_to_run_deterministic() {
 fn reports_are_deterministic_too() {
     let relation = synth::dataset_spec("abalone").unwrap().generate(1000);
     let euler = EulerFd::with_config(EulerFdConfig::default());
-    let (fds_a, rep_a) = euler.discover_with_report(&relation);
-    let (fds_b, rep_b) = euler.discover_with_report(&relation);
+    let (fds_a, rep_a) = euler.discover_budgeted(&relation, &Budget::unlimited());
+    let (fds_b, rep_b) = euler.discover_budgeted(&relation, &Budget::unlimited());
     assert_eq!(fds_a, fds_b);
     assert_eq!(rep_a.sampler.pairs_compared, rep_b.sampler.pairs_compared);
     assert_eq!(rep_a.inversions, rep_b.inversions);
@@ -54,11 +54,11 @@ fn thread_count_is_invisible_in_the_result() {
     // columns → clusters of thousands of rows) that multi-thread runs
     // genuinely cross the parallel-spawn threshold.
     let relation = synth::dataset_spec("abalone").unwrap().generate(20_000);
-    let (base_fds, base_rep) =
-        EulerFd::with_config(EulerFdConfig::default().with_threads(1)).discover_with_report(&relation);
+    let (base_fds, base_rep) = EulerFd::with_config(EulerFdConfig::default().with_threads(1))
+        .discover_budgeted(&relation, &Budget::unlimited());
     for threads in [2usize, 4, 8] {
         let algo = EulerFd::with_config(EulerFdConfig::default().with_threads(threads));
-        let (fds, rep) = algo.discover_with_report(&relation);
+        let (fds, rep) = algo.discover_budgeted(&relation, &Budget::unlimited());
         assert_eq!(base_fds, fds, "FdSet diverged at threads={threads}");
         assert_eq!(base_rep.gr_ncover, rep.gr_ncover, "gr_ncover diverged at threads={threads}");
         assert_eq!(base_rep.gr_pcover, rep.gr_pcover, "gr_pcover diverged at threads={threads}");
@@ -115,7 +115,7 @@ fn telemetry_flag_is_invisible_in_the_result() {
         let algo = EulerFd::with_config(EulerFdConfig::default().with_threads(threads));
         for on in [false, true] {
             fd_telemetry::set_enabled(on);
-            let (fds, rep) = algo.discover_with_report(&relation);
+            let (fds, rep) = algo.discover_budgeted(&relation, &Budget::unlimited());
             renders.push(format!("{fds:?}|{:?}|{:?}", rep.gr_ncover, rep.gr_pcover));
         }
     }

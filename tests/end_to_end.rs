@@ -3,7 +3,7 @@
 
 use eulerfd_suite::algo::EulerFd;
 use eulerfd_suite::baselines::HyFd;
-use eulerfd_suite::core::{Accuracy, AttrSet, Fd};
+use eulerfd_suite::core::{Accuracy, AttrSet, Budget, Fd};
 use eulerfd_suite::relation::{
     read_csv, read_csv_file, synth, verify_fds, write_csv, CsvOptions, FdAlgorithm,
 };
@@ -65,7 +65,7 @@ fn medium_dataset_f1_against_exact_reference() {
     // the approximate algorithm, score against an exact baseline.
     let relation = synth::dataset_spec("abalone").unwrap().generate(4177);
     let truth = HyFd::default().discover(&relation);
-    let (found, report) = EulerFd::new().discover_with_report(&relation);
+    let (found, report) = EulerFd::new().discover_budgeted(&relation, &Budget::unlimited());
     let acc = Accuracy::of(&found, &truth);
     assert!(acc.f1 >= 0.9, "EulerFD F1 on abalone-shaped data: {:?}", acc);
     // Sampling must have actually sampled (not fallen through to a trivial

@@ -13,7 +13,7 @@
 use eulerfd_suite::algo::{DeltaEngine, EulerFd, EulerFdConfig};
 use eulerfd_suite::core::FdSet;
 use eulerfd_suite::relation::synth::{self, ColumnKind, ColumnSpec, Generator};
-use eulerfd_suite::relation::{agree_of_rows, packed_agree_of_rows, Relation, RowId};
+use eulerfd_suite::relation::{agree_of_rows, packed_agree_of_rows, FdAlgorithm, Relation, RowId};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -123,7 +123,7 @@ fn scaling_gate() {
     for workers in [1usize, 2, 4, 8].into_iter().filter(|&w| w <= cores) {
         let algo = EulerFd::with_config(EulerFdConfig::default().with_threads(workers));
         let start = Instant::now();
-        let (fds, _) = algo.discover_with_report(&full);
+        let fds = algo.discover(&full);
         let wall_s = start.elapsed().as_secs_f64();
         let start = Instant::now();
         std::hint::black_box(rm.agree_sets_batch(&pairs, workers).len());

@@ -10,7 +10,7 @@
 
 use eulerfd_suite::algo::{EulerFd, EulerFdConfig};
 use eulerfd_suite::baselines::{AidFd, HyFd};
-use eulerfd_suite::core::Accuracy;
+use eulerfd_suite::core::{Accuracy, Budget};
 use eulerfd_suite::relation::synth;
 use eulerfd_suite::relation::FdAlgorithm;
 
@@ -42,7 +42,7 @@ fn thresholds_trade_pairs_for_accuracy() {
     let mut f1s = Vec::new();
     for th in [0.1, 0.01, 0.0] {
         let algo = EulerFd::with_config(EulerFdConfig::with_thresholds(th, th));
-        let (fds, report) = algo.discover_with_report(&relation);
+        let (fds, report) = algo.discover_budgeted(&relation, &Budget::unlimited());
         assert!(
             report.sampler.pairs_compared >= prev_pairs,
             "tightening Th must not reduce sampling"
