@@ -8,6 +8,7 @@
 use crate::attrset::{AttrId, AttrSet};
 use crate::budget::CancelToken;
 use crate::fd::{Fd, FdSet};
+use crate::hash::FastHashMap;
 use crate::lhs_tree::LhsTree;
 
 /// The negative cover: for each RHS attribute, the set of **maximal**
@@ -71,15 +72,7 @@ impl NCover {
     /// `a ∉ S` yields the non-FD `S ↛ a`. Returns the number of cover
     /// insertions performed.
     pub fn add_agree_set(&mut self, agree: AttrSet) -> usize {
-        let n = self.n_attrs();
-        let mut added = 0;
-        for a in 0..n {
-            let a = a as AttrId;
-            if !agree.contains(a) && self.add(Fd::new(agree, a)) {
-                added += 1;
-            }
-        }
-        added
+        self.add_agree_set_with(agree, |_| {})
     }
 
     /// Like [`NCover::add_agree_set`], but also appends each non-FD that was
@@ -87,6 +80,12 @@ impl NCover {
     /// inversion needs to process (non-FDs absorbed by an existing
     /// specialization change nothing downstream).
     pub fn add_agree_set_collect(&mut self, agree: AttrSet, inserted: &mut Vec<Fd>) -> usize {
+        self.add_agree_set_with(agree, |non_fd| inserted.push(non_fd))
+    }
+
+    /// The body of both agree-set entry points: adds `S ↛ a` for every
+    /// `a ∉ S` and hands each non-FD actually inserted to `on_insert`.
+    fn add_agree_set_with(&mut self, agree: AttrSet, mut on_insert: impl FnMut(Fd)) -> usize {
         let n = self.n_attrs();
         let mut added = 0;
         for a in 0..n {
@@ -96,7 +95,7 @@ impl NCover {
             }
             let non_fd = Fd::new(agree, a);
             if self.add(non_fd) {
-                inserted.push(non_fd);
+                on_insert(non_fd);
                 added += 1;
             }
         }
@@ -204,8 +203,8 @@ impl PCover {
     /// minimal specializations that escape it.
     pub fn invert(&mut self, non_fd: Fd) -> InvertDelta {
         let n = self.n_attrs();
-        let delta =
-            invert_into_tree(&mut self.per_rhs[non_fd.rhs as usize], n, non_fd.rhs, &non_fd.lhs);
+        let tree = &mut self.per_rhs[non_fd.rhs as usize];
+        let delta = InversionJob::new(tree, n, non_fd.rhs).invert(&non_fd.lhs);
         self.len = self.len + delta.added - delta.removed;
         delta
     }
@@ -256,9 +255,9 @@ impl PCover {
         }
         // Small batches invert inline: spawning threads costs more than the
         // tree surgery it would parallelize. The cutoff cannot change the
-        // result, only the wall clock. One inversion walks ~1Ki tree nodes —
-        // the per-item cost hint (in u32-compare-equivalent units) handed to
-        // the shared adaptive policy.
+        // result, only the wall clock. One inversion costs ~2Ki units — the
+        // per-item cost hint (in u32-compare-equivalent units) handed to the
+        // shared adaptive policy.
         let n_jobs = per_rhs_work.iter().filter(|work| !work.is_empty()).count();
         let workers = crate::parallel::decide_at(
             "parallel.workers.cover_invert",
@@ -285,6 +284,7 @@ impl PCover {
             jobs,
             |(rhs, (tree, work))| {
                 let rhs = rhs as AttrId;
+                let mut job = InversionJob::new(tree, n, rhs);
                 let mut job_delta = InvertDelta::default();
                 let mut unprocessed = Vec::new();
                 for lhs in work {
@@ -292,7 +292,7 @@ impl PCover {
                         unprocessed.push(lhs);
                         continue;
                     }
-                    job_delta += invert_into_tree(tree, n, rhs, &lhs);
+                    job_delta += job.invert(&lhs);
                 }
                 (rhs, job_delta, unprocessed)
             },
@@ -323,8 +323,9 @@ impl PCover {
         *tree = LhsTree::new();
         tree.insert(AttrSet::empty());
         non_fds.sort_by_key(|lhs| std::cmp::Reverse(lhs.len()));
+        let mut job = InversionJob::new(tree, n, rhs);
         for lhs in &non_fds {
-            invert_into_tree(tree, n, rhs, lhs);
+            job.invert(lhs);
         }
         self.len += tree.len();
         let mut revived = 0usize;
@@ -343,7 +344,9 @@ impl PCover {
 
     /// True if exactly `fd` is a current candidate.
     pub fn contains(&self, fd: &Fd) -> bool {
-        self.per_rhs[fd.rhs as usize].collect_subsets_of(&fd.lhs).contains(&fd.lhs)
+        // Each tree is an antichain, so a stored `fd.lhs` is its only
+        // stored subset.
+        self.per_rhs[fd.rhs as usize].find_subset_of(&fd.lhs) == Some(fd.lhs)
     }
 
     /// Extracts the final FD set. Candidates `∅ → A` are kept — they assert
@@ -357,48 +360,182 @@ impl PCover {
     }
 }
 
-/// Approximate tree-node visits per inversion, the cost hint handed to
-/// [`crate::parallel::decide`] by [`PCover::invert_batch`]. With the policy's
-/// 64Ki-unit quantum this reproduces the former engagement point of 64
-/// inversions per worker.
-const INVERSION_COST_UNITS: u64 = 1024;
+/// Measured cost of one non-FD's inversion in the policy's units, the cost
+/// hint handed to [`crate::parallel::decide`] by [`PCover::invert_batch`].
+/// Inverting the exact negative cover (Fdep's, over at most the first 4 000
+/// rows) of plista 1 001, fd-reduced-30 20 000, lineitem 40 000, weather
+/// 10 000 and adult 4 000 on one thread took 1.0Ki–15Ki units per non-FD,
+/// median 1.8Ki, where a unit is the time of one attribute of the same
+/// dataset's single-thread pair compare. With the policy's 64Ki-unit quantum
+/// a second worker engages at 64 non-FDs.
+const INVERSION_COST_UNITS: u64 = 2048;
 
-/// One non-FD's inversion against a single RHS tree (the body shared by
-/// [`PCover::invert`] and the per-RHS shards of [`PCover::invert_batch`]).
+/// One per-RHS inversion job: a run of non-FDs `X ↛ rhs` inverted into the
+/// RHS tree, in the order given. [`PCover::invert`] is a job of one non-FD,
+/// each per-RHS shard of [`PCover::invert_batch`] is one job, and so is
+/// [`PCover::rebuild_rhs`].
 ///
-/// Every candidate generalization `G ⊆ X` of the non-FD `X ↛ rhs` is
-/// removed and replaced by each `G ∪ {a}` with `a ∉ X`, `a ≠ rhs` (which
-/// keeps candidates non-trivial) that no remaining candidate covers. Two
-/// facts make this a single pass with one tree walk per general:
-///
-/// * Each per-RHS tree is an antichain: it starts as `{∅}`, an extension
-///   is inserted only if no candidate lies below it, and a candidate above
-///   `G ∪ {a}` would lie above `G`. So an extension `G' ∪ {a'}` inserted by
-///   this call never covers a later `G ∪ {a}`: since `a' ∉ X ⊇ G` it would
-///   need `a' = a` and `G' ⊆ G`, and two distinct sets of an antichain are
-///   never nested. The blocked extensions of every general can therefore be
-///   computed against the tree as it stands right after the removals.
-/// * Every inserted candidate contains an attribute outside `X`, so none is
-///   a generalization of `X`: a second removal pass would find nothing.
-///
-/// Inserts run generals in removal order and attributes ascending, so the
-/// tree shapes are the same as the textbook per-attribute loop's.
-fn invert_into_tree(tree: &mut LhsTree, n_attrs: usize, rhs: AttrId, non_fd_lhs: &AttrSet) -> InvertDelta {
-    let generals = tree.remove_subsets_of(non_fd_lhs);
-    if generals.is_empty() {
-        return InvertDelta::default();
+/// The job owns the [`ExtensionIndex`] that answers its covered-extension
+/// queries. It is built from the tree at the first general that uses it, kept
+/// in step with every removal and insert after that, and dropped with the
+/// job: a job whose non-FDs invalidate nothing never builds one, and no index
+/// stays resident between inversions.
+struct InversionJob<'t> {
+    tree: &'t mut LhsTree,
+    n_attrs: usize,
+    rhs: AttrId,
+    index: Option<ExtensionIndex>,
+}
+
+impl<'t> InversionJob<'t> {
+    fn new(tree: &'t mut LhsTree, n_attrs: usize, rhs: AttrId) -> Self {
+        InversionJob { tree, n_attrs, rhs, index: None }
     }
-    let extensions = AttrSet::full(n_attrs).difference(non_fd_lhs).without(rhs);
-    let blocked: Vec<AttrSet> =
-        generals.iter().map(|general| tree.blocked_extensions(general, &extensions)).collect();
-    let mut delta = InvertDelta { removed: generals.len(), added: 0 };
-    for (general, blocked) in generals.iter().zip(&blocked) {
-        for attr in extensions.difference(blocked).iter() {
-            tree.insert(general.with(attr));
-            delta.added += 1;
+
+    /// One non-FD's inversion (Algorithm 3, `invert`).
+    ///
+    /// Every candidate generalization `G ⊆ X` of the non-FD `X ↛ rhs` is
+    /// removed and replaced by each `G ∪ {a}` with `a ∉ X`, `a ≠ rhs` (which
+    /// keeps candidates non-trivial) that no remaining candidate covers. Two
+    /// facts make this a single pass with one covered-extension query per
+    /// general:
+    ///
+    /// * Each per-RHS tree is an antichain: it starts as `{∅}`, an extension
+    ///   is inserted only if no candidate lies below it, and a candidate above
+    ///   `G ∪ {a}` would lie above `G`. So an extension `G' ∪ {a'}` inserted by
+    ///   this call never covers a later `G ∪ {a}`: since `a' ∉ X ⊇ G` it would
+    ///   need `a' = a` and `G' ⊆ G`, and two distinct sets of an antichain are
+    ///   never nested. The blocked extensions of every general can therefore be
+    ///   computed against the tree as it stands right after the removals.
+    /// * Every inserted candidate contains an attribute outside `X`, so none is
+    ///   a generalization of `X`: a second removal pass would find nothing.
+    ///
+    /// Inserts run generals in removal order and attributes ascending, so the
+    /// tree shapes are the same as the textbook per-attribute loop's.
+    fn invert(&mut self, non_fd_lhs: &AttrSet) -> InvertDelta {
+        let generals = self.tree.remove_subsets_of(non_fd_lhs);
+        if generals.is_empty() {
+            return InvertDelta::default();
+        }
+        if let Some(index) = &mut self.index {
+            for general in &generals {
+                index.remove(general);
+            }
+        }
+        let extensions = AttrSet::full(self.n_attrs).difference(non_fd_lhs).without(self.rhs);
+        let blocked: Vec<AttrSet> =
+            generals.iter().map(|general| self.blocked_extensions(general, &extensions)).collect();
+        let mut delta = InvertDelta { removed: generals.len(), added: 0 };
+        for (general, blocked) in generals.iter().zip(&blocked) {
+            for attr in extensions.difference(blocked).iter() {
+                let extension = general.with(attr);
+                self.tree.insert(extension);
+                if let Some(index) = &mut self.index {
+                    index.insert(&extension);
+                }
+                delta.added += 1;
+            }
+        }
+        delta
+    }
+
+    /// The attributes `a ∈ allowed` whose extension `general ∪ {a}` has a
+    /// stored subset. The index answers with `2^|general|` lookups and the
+    /// tree walk visits up to about twice `len()` nodes, so the index is used
+    /// (and built, the first time) only when its lookups are no more than the
+    /// tree's stored sets.
+    fn blocked_extensions(&mut self, general: &AttrSet, allowed: &AttrSet) -> AttrSet {
+        let lookups = 1usize.checked_shl(general.len() as u32).unwrap_or(usize::MAX);
+        if lookups > self.tree.len() {
+            return self.tree.blocked_extensions(general, allowed);
+        }
+        let tree = &*self.tree;
+        let index = self.index.get_or_insert_with(|| ExtensionIndex::new(tree));
+        index.blocked_extensions(general, allowed)
+    }
+}
+
+/// The covered-extension index of one per-RHS candidate tree: for every
+/// stored set `S` and every `b ∈ S`, the key `S \ {b}` maps to the set of all
+/// such `b`.
+///
+/// During an inversion of `X ↛ A` every stored subset of `X` has just been
+/// removed. A stored `S` then lies below an extension `G ∪ {a}` of a general
+/// `G ⊆ X` with `a ∉ X` only if `a ∈ S` and `S \ {a} ⊆ G` (`S ⊆ G` would make
+/// `S` a removed subset of `X`). So the extensions blocked for `G` are the
+/// union of the entries at the `2^|G|` subsets of `G`, intersected with the
+/// allowed attributes: [`ExtensionIndex::blocked_extensions`].
+///
+/// ```
+/// use fd_core::{AttrSet, ExtensionIndex, LhsTree};
+///
+/// let mut tree = LhsTree::new();
+/// tree.insert(AttrSet::from_attrs([1u16, 2]));
+/// tree.insert(AttrSet::from_attrs([3u16, 4]));
+/// let index = ExtensionIndex::new(&tree);
+/// // {1,2} lies below {1} ∪ {2}; nothing lies below {1} ∪ {3}.
+/// let allowed = AttrSet::from_attrs([2u16, 3]);
+/// assert_eq!(index.blocked_extensions(&AttrSet::single(1), &allowed), AttrSet::single(2));
+/// ```
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ExtensionIndex {
+    ext: FastHashMap<AttrSet, AttrSet>,
+}
+
+impl ExtensionIndex {
+    /// The index of every set stored in `tree`.
+    pub fn new(tree: &LhsTree) -> Self {
+        let mut index = ExtensionIndex::default();
+        tree.for_each(|stored| index.insert(&stored));
+        index
+    }
+
+    /// Records a set just inserted into the indexed tree.
+    pub fn insert(&mut self, stored: &AttrSet) {
+        for b in stored.iter() {
+            self.ext.entry(stored.without(b)).or_default().insert(b);
         }
     }
-    delta
+
+    /// Forgets a set just removed from the indexed tree.
+    pub fn remove(&mut self, stored: &AttrSet) {
+        for b in stored.iter() {
+            let key = stored.without(b);
+            if let Some(ext) = self.ext.get_mut(&key) {
+                ext.remove(b);
+                if ext.is_empty() {
+                    self.ext.remove(&key);
+                }
+            }
+        }
+    }
+
+    /// The attributes `a ∈ allowed` for which some indexed set is a subset
+    /// of `base ∪ {a}`, given that no indexed set is a subset of `base`
+    /// itself (an inversion's generals guarantee it). Equal to
+    /// [`LhsTree::blocked_extensions`] under that condition, at the cost of
+    /// one lookup per subset of `base`.
+    pub fn blocked_extensions(&self, base: &AttrSet, allowed: &AttrSet) -> AttrSet {
+        let mut blocked = AttrSet::empty();
+        self.union_below(*base, AttrSet::empty(), &mut blocked);
+        blocked.intersect(allowed)
+    }
+
+    /// Unions into `acc` the entries at `chosen ∪ T` for every `T ⊆ rest`.
+    fn union_below(&self, rest: AttrSet, chosen: AttrSet, acc: &mut AttrSet) {
+        match rest.first() {
+            None => {
+                if let Some(ext) = self.ext.get(&chosen) {
+                    *acc = acc.union(ext);
+                }
+            }
+            Some(a) => {
+                let rest = rest.without(a);
+                self.union_below(rest, chosen, acc);
+                self.union_below(rest, chosen.with(a), acc);
+            }
+        }
+    }
 }
 
 /// Builds the positive cover implied by a set of non-FDs: initializes the
@@ -601,6 +738,30 @@ mod tests {
         assert_eq!(revived, 0);
         assert_eq!(pc.to_fdset(), before);
         assert_eq!(pc.len(), before.len());
+    }
+
+    #[test]
+    fn a_job_whose_non_fds_remove_nothing_builds_no_index() {
+        let mut tree = LhsTree::new();
+        for lhs in [s(&[1]), s(&[2]), s(&[3]), s(&[4, 5])] {
+            tree.insert(lhs);
+        }
+        let mut job = InversionJob::new(&mut tree, 6, 0);
+        // Neither {4} nor {5} has a stored subset: nothing is removed.
+        assert_eq!(job.invert(&s(&[4])), InvertDelta::default());
+        assert_eq!(job.invert(&s(&[5])), InvertDelta::default());
+        assert!(job.index.is_none());
+        // {1, 4} ↛ 0 removes {1}; with three candidates left, the two
+        // lookups for {1} fit under the cutoff, so the index is built. {2}
+        // and {3} block {1, 2} and {1, 3}; {1, 5} is added.
+        assert_eq!(job.invert(&s(&[1, 4])), InvertDelta { removed: 1, added: 1 });
+        assert_eq!(job.index.as_ref(), Some(&ExtensionIndex::new(job.tree)));
+        drop(job);
+        let mut left = tree.to_vec();
+        left.sort();
+        let mut expect = vec![s(&[1, 5]), s(&[2]), s(&[3]), s(&[4, 5])];
+        expect.sort();
+        assert_eq!(left, expect);
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub use attrset::{AttrId, AttrSet, ATTR_WORDS, MAX_ATTRS};
 pub use budget::{Budget, CancelToken, Termination, Watchdog};
 pub use error::DiscoveryError;
 pub use closure::{bcnf_violations, candidate_keys, closure, equivalent, implies, non_redundant_cover};
-pub use cover::{invert_ncover, invert_ncover_parallel, InvertDelta, NCover, PCover};
+pub use cover::{invert_ncover, invert_ncover_parallel, ExtensionIndex, InvertDelta, NCover, PCover};
 pub use fd::{Fd, FdSet};
 pub use fd_tree::FdTree;
 pub use hash::{FastHashMap, FastHashSet, FxHasher};

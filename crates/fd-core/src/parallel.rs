@@ -61,7 +61,7 @@
 //! | site                | items        | per-item cost hint                  |
 //! |---------------------|--------------|-------------------------------------|
 //! | `pair_compare`      | tuple pairs  | `width` (one compare per attribute) |
-//! | `cover_invert`      | non-FDs      | ~1Ki tree-node visits per inversion |
+//! | `cover_invert`      | non-FDs      | ~2Ki, measured per inversion        |
 //! | `sampling_clusters` | attributes   | `n_rows` (counting sort row moves)  |
 //! | `tane_products`     | candidates   | `n_rows` (one row move per product) |
 //! | `agree_sets`        | clusters     | mean `pairs_in(c) × width`          |
@@ -77,9 +77,8 @@ use std::time::Instant;
 /// Minimum work units per worker before spawning is worth it.
 ///
 /// A *unit* is roughly one `u32` comparison (one label probe, one row move).
-/// The constant preserves PR 1's measured engagement points: the pair kernel
-/// engaged at 4096 pairs × ~16 attrs ≈ 64Ki units per worker, and cover
-/// inversion at 64 jobs × ~1Ki tree-node visits.
+/// The pair kernel reaches it at 4096 pairs × ~16 attrs ≈ 64Ki units per
+/// worker, and cover inversion at 32 non-FDs × ~2Ki units per worker.
 pub const MIN_UNITS_PER_WORKER: u64 = 65_536;
 
 /// Chunks per worker a work-stealing fan-out aims for. More chunks mean

@@ -3,8 +3,8 @@
 //! algebraic laws the covers rely on.
 
 use fd_core::{
-    invert_ncover, AgreeSetTable, AttrId, AttrSet, FastHashSet, Fd, FdSet, FdTree, InvertDelta,
-    LhsTree, NCover, NaiveLhsStore, PCover, MAX_ATTRS,
+    invert_ncover, AgreeSetTable, AttrId, AttrSet, ExtensionIndex, FastHashSet, Fd, FdSet, FdTree,
+    InvertDelta, LhsTree, NCover, NaiveLhsStore, PCover, MAX_ATTRS,
 };
 use proptest::prelude::*;
 
@@ -417,6 +417,65 @@ proptest! {
             let expect: AttrSet =
                 allowed.iter().filter(|&a| tree.contains_subset_of(&base.with(a))).collect();
             prop_assert_eq!(tree.blocked_extensions(base, &allowed), expect, "base {:?}", base);
+        }
+    }
+
+    /// An extension index kept in step with a tree's inserts and removals
+    /// equals one built from the finished tree, and both answer exactly what
+    /// one `contains_subset_of` probe per allowed attribute would once the
+    /// base has no stored subset (as after an inversion's removals). Trees
+    /// may start as the `{∅}` seed; bases run to six attributes, so many
+    /// have more subsets than the tree has sets, past the cutoff at which an
+    /// inversion walks the tree instead.
+    #[test]
+    fn extension_index_matches_per_attribute_probes(
+        seeded in 0..2u8,
+        ops in prop::collection::vec(
+            prop_oneof![
+                3 => banded_attr_set().prop_map(Op::Insert),
+                1 => banded_attr_set().prop_map(Op::Remove),
+                1 => banded_attr_set().prop_map(Op::RemoveSubsetsOf),
+            ],
+            0..80,
+        ),
+        queries in prop::collection::vec((banded_attr_set(), banded_attr_set()), 1..20),
+    ) {
+        let mut tree = LhsTree::new();
+        if seeded == 1 {
+            tree.insert(AttrSet::empty());
+        }
+        let mut kept = ExtensionIndex::new(&tree);
+        for o in &ops {
+            match o {
+                Op::Insert(s) => {
+                    if tree.insert(*s) {
+                        kept.insert(s);
+                    }
+                }
+                Op::Remove(s) => {
+                    if tree.remove(s) {
+                        kept.remove(s);
+                    }
+                }
+                Op::RemoveSubsetsOf(s) => {
+                    for removed in tree.remove_subsets_of(s) {
+                        kept.remove(&removed);
+                    }
+                }
+            }
+        }
+        let mut built = ExtensionIndex::new(&tree);
+        prop_assert_eq!(&kept, &built);
+        for (base, extra) in &queries {
+            for removed in tree.remove_subsets_of(base) {
+                kept.remove(&removed);
+                built.remove(&removed);
+            }
+            let allowed = extra.union(&AttrSet::from_attrs([63u16, 64, 127, 128])).difference(base);
+            let expect: AttrSet =
+                allowed.iter().filter(|&a| tree.contains_subset_of(&base.with(a))).collect();
+            prop_assert_eq!(kept.blocked_extensions(base, &allowed), expect, "base {:?}", base);
+            prop_assert_eq!(built.blocked_extensions(base, &allowed), expect, "base {:?}", base);
         }
     }
 

@@ -81,11 +81,14 @@ cargo test -q --test determinism pair_budget_trips_identically_at_every_thread_c
 # the same FD set (and honour a cancelled token) at 1, 2 and 4 threads.
 cargo test -q -p fd-baselines --lib agree::tests::cover_and_pair_caps_trip_at_every_thread_count
 cargo test -q -p fd-baselines --lib tane::tests::tane_is_thread_count_invariant
-# Inversion-equivalence gate: the one-walk blocked-extension query must match
-# one subset probe per attribute across the 64/128-attribute word
-# boundaries, and every inversion path must match the textbook per-attribute
-# Algorithm 3 loop on a 70-attribute schema.
+# Inversion-equivalence gate: the one-walk blocked-extension query and the
+# extension index's subset lookups must each match one subset probe per
+# attribute across the 64/128-attribute word boundaries, an inversion job
+# that removes nothing must build no index, and every inversion path must
+# match the textbook per-attribute Algorithm 3 loop on a 70-attribute schema.
 cargo test -q -p fd-core --test proptests blocked_extensions_match_per_attribute_probes
+cargo test -q -p fd-core --test proptests extension_index_matches_per_attribute_probes
+cargo test -q -p fd-core --lib cover::tests::a_job_whose_non_fds_remove_nothing_builds_no_index
 cargo test -q -p fd-core --test proptests wide_inversion_matches_textbook_algorithm_3
 # Serving-layer gate: repeat reads share one cached, pre-rendered result and
 # a per-version keys memo; a waited job leaves the job table, unclaimed ones
