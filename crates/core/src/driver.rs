@@ -310,8 +310,10 @@ impl FdAlgorithm for EulerFd {
         "EulerFD"
     }
 
-    fn discover(&self, relation: &Relation) -> FdSet {
-        self.discover_budgeted(relation, &Budget::unlimited()).0
+    /// The inherent [`EulerFd::discover_budgeted`] without its report.
+    fn discover_budgeted(&self, relation: &Relation, budget: &Budget) -> (FdSet, Termination) {
+        let (fds, report) = EulerFd::discover_budgeted(self, relation, budget);
+        (fds, report.termination)
     }
 }
 

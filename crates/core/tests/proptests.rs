@@ -144,12 +144,14 @@ proptest! {
     }
 }
 
+/// One delta wave: the rows to insert and the raw ids to delete.
+type Wave = (Vec<Vec<u32>>, Vec<u32>);
+
 /// A base relation plus two successive insert/delete waves. Insert labels
 /// range over 0..6 so both reused and fresh labels occur; delete ids are
 /// drawn as raw integers and reduced modulo the live row count when each
 /// wave is applied (the relation size after wave one is data-dependent).
-fn delta_scenario_strategy(
-) -> impl Strategy<Value = (Relation, [(Vec<Vec<u32>>, Vec<u32>); 2])> {
+fn delta_scenario_strategy() -> impl Strategy<Value = (Relation, [Wave; 2])> {
     relation_strategy().prop_flat_map(|relation| {
         let cols = relation.n_attrs();
         let wave = move || {

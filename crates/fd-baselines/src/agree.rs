@@ -1,7 +1,7 @@
 //! Shared agree-set collection for the exhaustive-enumeration algorithms
 //! (Fdep, FastFDs, Dep-Miner): every intra-cluster tuple pair's agree set,
-//! folded into a maximal-non-FD negative cover, with an optional
-//! pair-comparison budget and an optional parallel enumeration path.
+//! folded into a maximal-non-FD negative cover, under a [`Budget`] and with
+//! an optional parallel enumeration path.
 //!
 //! Parallelism is embarrassing here: clusters are independent, agree-set
 //! computation is pure, and deduplication merges cheaply — each cluster chunk
@@ -12,27 +12,19 @@
 use crate::fdep::seed_empty_lhs_non_fds;
 use fd_core::{AttrSet, Budget, FastHashSet, NCover, Termination};
 use fd_relation::{sampling_clusters, Relation, RowId};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Configuration for agree-set collection.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct AgreeSetCollector {
-    /// Abort (returning `None`) beyond this many pair comparisons.
-    pub max_pairs: Option<u64>,
     /// Worker threads; 0 or 1 = sequential.
     pub threads: usize,
 }
 
 impl AgreeSetCollector {
-    /// Sequential, unbounded collection.
+    /// Sequential collection.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Sets the pair budget.
-    pub fn with_pair_limit(mut self, max_pairs: u64) -> Self {
-        self.max_pairs = Some(max_pairs);
-        self
     }
 
     /// Sets the worker count.
@@ -41,35 +33,25 @@ impl AgreeSetCollector {
         self
     }
 
-    /// Collects the complete negative cover (all maximal non-FDs of the
-    /// instance, plus the `∅`-level seeds). Returns `None` if the pair
-    /// budget would be exceeded.
-    pub fn collect(&self, relation: &Relation) -> Option<NCover> {
-        match self.collect_budgeted(relation, &Budget::unlimited()) {
-            (cover, Termination::Converged) => cover,
-            _ => None,
-        }
-    }
-
-    /// Budgeted collection. The structural [`AgreeSetCollector::max_pairs`]
-    /// guard keeps its legacy up-front semantics (`(None, PairBudget)`
-    /// without doing any work); the budget is polled per cluster, and a trip
+    /// Collects the negative cover (all maximal non-FDs of the instance,
+    /// plus the `∅`-level seeds) under `budget`.
+    ///
+    /// The budget's pair cap is checked against the relation's total
+    /// intra-cluster pair count before anything is compared: a collection
+    /// that would exceed it returns `(None, PairBudget)` without doing any
+    /// work. Otherwise the budget is polled per cluster, and a trip
     /// mid-collection returns the cover built from the clusters processed so
     /// far. **Caution:** a truncated cover is sound only w.r.t. the pairs
     /// processed — difference sets derived from it are incomplete, so
     /// downstream cover searches must not treat their output as validated
     /// FDs of the full instance.
-    pub fn collect_budgeted(
-        &self,
-        relation: &Relation,
-        budget: &Budget,
-    ) -> (Option<NCover>, Termination) {
+    pub fn collect(&self, relation: &Relation, budget: &Budget) -> (Option<NCover>, Termination) {
         let clusters = sampling_clusters(relation);
         let total: u64 = clusters.iter().map(|c| pairs_in(c)).sum();
-        if let Some(limit) = self.max_pairs {
-            if total > limit {
-                return (None, Termination::PairBudget);
-            }
+        // Any other trip cancels the token, and the first per-cluster poll
+        // below reports it.
+        if budget.poll(total, 0) == Some(Termination::PairBudget) {
+            return (None, Termination::PairBudget);
         }
         // Cost hint in u32-compare-equivalent units per item (= cluster):
         // one pair costs one label comparison per attribute, so the hint is
@@ -88,13 +70,13 @@ impl AgreeSetCollector {
         // per collection, it turns every agree set into a contiguous scan
         // the bit-packed kernel handles word-wide.
         let row_major = relation.row_major();
-        // Every chunk polls the budget once per cluster against two shared
-        // counters: pairs compared and distinct agree sets held. At one
-        // worker the latter is exactly the size of the one dedup set; across
-        // workers it sums their local sets — the sets actually resident —
-        // so the cover cap bounds memory at every thread count. The first
-        // trip cancels the token, which stops the sibling chunks too.
-        let pairs_done = AtomicU64::new(0);
+        // Every chunk polls the budget once per cluster against one shared
+        // counter of distinct agree sets held (the pair cap was settled
+        // above). At one worker it is exactly the size of the one dedup set;
+        // across workers it sums their local sets — the sets actually
+        // resident — so the cover cap bounds memory at every thread count.
+        // The first trip cancels the token, which stops the sibling chunks
+        // too.
         let distinct_held = AtomicUsize::new(0);
         let mut distinct: FastHashSet<AttrSet> = FastHashSet::default();
         let mut tripped = None;
@@ -107,11 +89,7 @@ impl AgreeSetCollector {
             |chunk| {
                 let mut seen: FastHashSet<AttrSet> = FastHashSet::default();
                 for cluster in chunk {
-                    let polled = budget.poll(
-                        pairs_done.load(Ordering::Relaxed),
-                        distinct_held.load(Ordering::Relaxed),
-                    );
-                    if let Some(t) = polled {
+                    if let Some(t) = budget.poll(0, distinct_held.load(Ordering::Relaxed)) {
                         return (seen, Some(t));
                     }
                     let held = seen.len();
@@ -120,7 +98,6 @@ impl AgreeSetCollector {
                             seen.insert(row_major.agree_set(cluster[i], cluster[j]));
                         }
                     }
-                    pairs_done.fetch_add(pairs_in(cluster), Ordering::Relaxed);
                     distinct_held.fetch_add(seen.len() - held, Ordering::Relaxed);
                 }
                 (seen, None)
@@ -152,11 +129,18 @@ mod tests {
     use super::*;
     use fd_relation::synth::{dataset_spec, patient};
 
+    fn collect_all(collector: AgreeSetCollector, r: &Relation) -> Option<NCover> {
+        match collector.collect(r, &Budget::unlimited()) {
+            (cover, Termination::Converged) => cover,
+            _ => None,
+        }
+    }
+
     #[test]
     fn sequential_and_parallel_agree() {
         let r = dataset_spec("abalone").unwrap().generate(600);
-        let seq = AgreeSetCollector::new().collect(&r).unwrap();
-        let par = AgreeSetCollector::new().with_threads(4).collect(&r).unwrap();
+        let seq = collect_all(AgreeSetCollector::new(), &r).unwrap();
+        let par = collect_all(AgreeSetCollector::new().with_threads(4), &r).unwrap();
         assert_eq!(seq.len(), par.len());
         let mut a = seq.to_fds();
         let mut b = par.to_fds();
@@ -168,15 +152,16 @@ mod tests {
     #[test]
     fn budget_trips() {
         let r = patient();
-        assert!(AgreeSetCollector::new().with_pair_limit(1).collect(&r).is_none());
-        assert!(AgreeSetCollector::new().with_pair_limit(1_000_000).collect(&r).is_some());
+        let capped = |cap| AgreeSetCollector::new().collect(&r, &Budget::unlimited().pair_cap(cap));
+        assert!(capped(1).0.is_none());
+        assert!(capped(1_000_000).0.is_some());
     }
 
     #[test]
     fn budgeted_unlimited_matches_plain() {
         let r = patient();
-        let plain = AgreeSetCollector::new().collect(&r).unwrap();
-        let (cover, t) = AgreeSetCollector::new().collect_budgeted(&r, &Budget::unlimited());
+        let plain = collect_all(AgreeSetCollector::new(), &r).unwrap();
+        let (cover, t) = AgreeSetCollector::new().collect(&r, &Budget::unlimited());
         assert_eq!(t, Termination::Converged);
         assert_eq!(cover.unwrap().len(), plain.len());
     }
@@ -186,7 +171,7 @@ mod tests {
         let r = patient();
         let budget = Budget::unlimited();
         budget.token().cancel();
-        let (cover, t) = AgreeSetCollector::new().collect_budgeted(&r, &budget);
+        let (cover, t) = AgreeSetCollector::new().collect(&r, &budget);
         assert_eq!(t, Termination::Cancelled);
         // Only the ∅-level seeds survive: no cluster was processed.
         assert!(cover.is_some());
@@ -195,10 +180,8 @@ mod tests {
     #[test]
     fn parallel_budgeted_converges_like_sequential() {
         let r = dataset_spec("abalone").unwrap().generate(400);
-        let (seq, ts) = AgreeSetCollector::new().collect_budgeted(&r, &Budget::unlimited());
-        let (par, tp) = AgreeSetCollector::new()
-            .with_threads(4)
-            .collect_budgeted(&r, &Budget::unlimited());
+        let (seq, ts) = AgreeSetCollector::new().collect(&r, &Budget::unlimited());
+        let (par, tp) = AgreeSetCollector::new().with_threads(4).collect(&r, &Budget::unlimited());
         assert_eq!(ts, Termination::Converged);
         assert_eq!(tp, Termination::Converged);
         assert_eq!(seq.unwrap().len(), par.unwrap().len());
@@ -218,9 +201,9 @@ mod tests {
         }
         for threads in [1, 2, 4] {
             let collector = AgreeSetCollector::new().with_threads(threads);
-            let (_, t) = collector.collect_budgeted(&r, &Budget::unlimited().cover_cap(8));
+            let (_, t) = collector.collect(&r, &Budget::unlimited().cover_cap(8));
             assert_eq!(t, Termination::MemoryBudget, "cover cap at threads={threads}");
-            let (_, t) = collector.collect_budgeted(&r, &Budget::unlimited().pair_cap(total / 100));
+            let (_, t) = collector.collect(&r, &Budget::unlimited().pair_cap(total / 100));
             assert_eq!(t, Termination::PairBudget, "pair cap at threads={threads}");
         }
     }
@@ -228,8 +211,8 @@ mod tests {
     #[test]
     fn single_thread_requested_stays_sequential() {
         let r = patient();
-        let a = AgreeSetCollector::new().with_threads(1).collect(&r).unwrap();
-        let b = AgreeSetCollector::new().collect(&r).unwrap();
+        let a = collect_all(AgreeSetCollector::new().with_threads(1), &r).unwrap();
+        let b = collect_all(AgreeSetCollector::new(), &r).unwrap();
         assert_eq!(a.len(), b.len());
     }
 }

@@ -10,7 +10,7 @@
 //! exactly what EulerFD's MLFQ and double-cycle structure address.
 
 use crate::fdep::seed_empty_lhs_non_fds;
-use fd_core::{invert_ncover, AgreeSetTable, FdSet, NCover};
+use fd_core::{invert_ncover, AgreeSetTable, Budget, FdSet, NCover, Termination};
 use fd_relation::{sampling_clusters, FdAlgorithm, Relation};
 
 /// The AID-FD approximate discovery algorithm.
@@ -50,14 +50,32 @@ impl AidFd {
 
     /// Discovery with run statistics.
     pub fn discover_with_stats(&self, relation: &Relation) -> (FdSet, AidFdStats) {
+        let (fds, stats, _) = self.sample_and_invert(relation, &Budget::unlimited());
+        (fds, stats)
+    }
+
+    /// The sampling rounds and the final inversion. The budget is polled
+    /// once per round; a trip ends sampling, and the cover built so far is
+    /// inverted all the same, as EulerFD's final drain does.
+    fn sample_and_invert(
+        &self,
+        relation: &Relation,
+        budget: &Budget,
+    ) -> (FdSet, AidFdStats, Termination) {
         let mut ncover = NCover::new(relation.n_attrs());
         seed_empty_lhs_non_fds(relation, &mut ncover);
         let clusters = sampling_clusters(relation);
+        let row_major = relation.row_major();
         let mut seen_agree = AgreeSetTable::new();
         let mut stats = AidFdStats::default();
+        let mut termination = Termination::Converged;
 
         let mut window = 1usize;
         loop {
+            if let Some(t) = budget.poll(stats.pairs_compared, ncover.len()) {
+                termination = t;
+                break;
+            }
             let size_before = ncover.len();
             let adds_before = ncover.insertions();
             let mut any_pair = false;
@@ -67,7 +85,7 @@ impl AidFd {
                 }
                 any_pair = true;
                 for i in 0..cluster.len() - window {
-                    let agree = relation.agree_set(cluster[i], cluster[i + window]);
+                    let agree = row_major.agree_set(cluster[i], cluster[i + window]);
                     stats.pairs_compared += 1;
                     if seen_agree.insert(agree) {
                         ncover.add_agree_set(agree);
@@ -96,7 +114,7 @@ impl AidFd {
         stats.ncover_size = ncover.len();
         stats.ncover_insertions = ncover.insertions();
         let fds = invert_ncover(&ncover).to_fdset();
-        (fds, stats)
+        (fds, stats, termination)
     }
 }
 
@@ -105,8 +123,9 @@ impl FdAlgorithm for AidFd {
         "AID-FD"
     }
 
-    fn discover(&self, relation: &Relation) -> FdSet {
-        self.discover_with_stats(relation).0
+    fn discover_budgeted(&self, relation: &Relation, budget: &Budget) -> (FdSet, Termination) {
+        let (fds, _, termination) = self.sample_and_invert(relation, budget);
+        (fds, termination)
     }
 }
 

@@ -28,41 +28,31 @@ const POLL_STRIDE: u32 = 64;
 
 /// The Dep-Miner exact discovery algorithm.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct DepMiner {
-    /// Abort (returning an empty set) beyond this many intra-cluster pair
-    /// comparisons; `None` = unbounded.
-    pub max_pairs: Option<u64>,
-}
+pub struct DepMiner;
 
 impl DepMiner {
-    /// Unbounded Dep-Miner.
+    /// Dep-Miner.
     pub fn new() -> Self {
-        Self::default()
+        DepMiner
+    }
+}
+
+impl FdAlgorithm for DepMiner {
+    fn name(&self) -> &str {
+        "Dep-Miner"
     }
 
-    /// Dep-Miner with a pair-comparison budget.
-    pub fn with_pair_limit(max_pairs: u64) -> Self {
-        DepMiner { max_pairs: Some(max_pairs) }
-    }
-
-    /// Budgeted anytime discovery. Polls the budget per RHS, per transversal
-    /// level, and every [`POLL_STRIDE`] Apriori joins.
+    /// Polls the budget during agree-set collection, per RHS, per
+    /// transversal level, and every [`POLL_STRIDE`] Apriori joins.
     ///
     /// Partial-result semantics mirror FastFDs: a transversal emitted before
     /// a trip hit *every* complement, so it is a true minimal FD of the
     /// instance; if collection itself was truncated the complements are
     /// incomplete, and an empty set is returned with the trip reason.
-    pub fn discover_budgeted(
-        &self,
-        relation: &Relation,
-        budget: &Budget,
-    ) -> (FdSet, Termination) {
+    fn discover_budgeted(&self, relation: &Relation, budget: &Budget) -> (FdSet, Termination) {
         let m = relation.n_attrs();
-        let mut collector = AgreeSetCollector::new();
-        collector.max_pairs = self.max_pairs;
-        let ncover = match collector.collect_budgeted(relation, budget) {
+        let ncover = match AgreeSetCollector::new().collect(relation, budget) {
             (Some(n), Termination::Converged) => n,
-            (_, Termination::Converged) => return (FdSet::new(), Termination::PairBudget),
             (_, t) => return (FdSet::new(), t),
         };
         let full = AttrSet::full(m);
@@ -95,18 +85,6 @@ impl DepMiner {
             }
         }
         (out, Termination::Converged)
-    }
-}
-
-impl FdAlgorithm for DepMiner {
-    fn name(&self) -> &str {
-        "Dep-Miner"
-    }
-
-    fn discover(&self, relation: &Relation) -> FdSet {
-        // With an unlimited budget the only possible trip is the structural
-        // pair guard, which returns the legacy empty set.
-        self.discover_budgeted(relation, &Budget::unlimited()).0
     }
 }
 
@@ -246,7 +224,8 @@ mod tests {
     #[test]
     fn pair_limit_aborts() {
         let r = patient();
-        assert!(DepMiner::with_pair_limit(1).discover(&r).is_empty());
+        let (fds, _) = DepMiner::new().discover_budgeted(&r, &Budget::unlimited().pair_cap(1));
+        assert!(fds.is_empty());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! strictly a ground-truth oracle for tests and tiny datasets (≲ 15 columns),
 //! never a benchmark contender.
 
-use fd_core::{AttrId, AttrSet, Fd, FdSet};
+use fd_core::{AttrId, AttrSet, Budget, Fd, FdSet, Termination};
 use fd_relation::{FdAlgorithm, Relation};
 
 /// The brute-force oracle.
@@ -17,11 +17,16 @@ impl FdAlgorithm for Exhaustive {
         "Exhaustive"
     }
 
-    fn discover(&self, relation: &Relation) -> FdSet {
+    /// Polls the budget once per RHS; a trip returns the FDs of the RHSs
+    /// already enumerated, each verified and minimal.
+    fn discover_budgeted(&self, relation: &Relation, budget: &Budget) -> (FdSet, Termination) {
         let m = relation.n_attrs();
         assert!(m <= 24, "exhaustive oracle is exponential; {m} columns is too many");
         let mut out = FdSet::new();
         for rhs in 0..m as AttrId {
+            if let Some(t) = budget.poll(0, out.len()) {
+                return (out, t);
+            }
             // Breadth-first over LHS size so minimality is by construction:
             // a candidate is emitted only if no emitted subset determines rhs.
             let mut minimal: Vec<AttrSet> = Vec::new();
@@ -46,7 +51,7 @@ impl FdAlgorithm for Exhaustive {
                 }
             }
         }
-        out
+        (out, Termination::Converged)
     }
 }
 

@@ -24,24 +24,21 @@ use fd_relation::{FdAlgorithm, Relation};
 
 /// The FastFDs exact discovery algorithm.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct FastFds {
-    /// Abort (returning an empty set) beyond this many intra-cluster pair
-    /// comparisons; `None` = unbounded. Mirrors [`crate::Fdep`]'s guard.
-    pub max_pairs: Option<u64>,
-}
+pub struct FastFds;
 
 impl FastFds {
-    /// Unbounded FastFDs.
+    /// FastFDs.
     pub fn new() -> Self {
-        Self::default()
+        FastFds
+    }
+}
+
+impl FdAlgorithm for FastFds {
+    fn name(&self) -> &str {
+        "FastFDs"
     }
 
-    /// FastFDs with a pair-comparison budget.
-    pub fn with_pair_limit(max_pairs: u64) -> Self {
-        FastFds { max_pairs: Some(max_pairs) }
-    }
-
-    /// Budgeted anytime discovery. Polls the budget per RHS and at every
+    /// Polls the budget during agree-set collection, per RHS, and at every
     /// DFS node of the cover search.
     ///
     /// Partial-result semantics: covers emitted before a trip were each
@@ -50,19 +47,12 @@ impl FastFds {
     /// during agree-set collection itself, the difference sets are
     /// incomplete and any cover computed from them could be a false FD, so
     /// an empty set is returned with the trip reason.
-    pub fn discover_budgeted(
-        &self,
-        relation: &Relation,
-        budget: &Budget,
-    ) -> (FdSet, Termination) {
+    fn discover_budgeted(&self, relation: &Relation, budget: &Budget) -> (FdSet, Termination) {
         let m = relation.n_attrs();
-        let mut collector = AgreeSetCollector::new();
-        collector.max_pairs = self.max_pairs;
         let ncover = {
             let _phase = fd_telemetry::span!("fastfds.collect");
-            match collector.collect_budgeted(relation, budget) {
+            match AgreeSetCollector::new().collect(relation, budget) {
                 (Some(n), Termination::Converged) => n,
-                (_, Termination::Converged) => return (FdSet::new(), Termination::PairBudget),
                 (_, t) => return (FdSet::new(), t),
             }
         };
@@ -108,18 +98,6 @@ impl FastFds {
             }
         }
         (out, Termination::Converged)
-    }
-}
-
-impl FdAlgorithm for FastFds {
-    fn name(&self) -> &str {
-        "FastFDs"
-    }
-
-    fn discover(&self, relation: &Relation) -> FdSet {
-        // With an unlimited budget the only possible trip is the structural
-        // pair guard, which returns the legacy empty set.
-        self.discover_budgeted(relation, &Budget::unlimited()).0
     }
 }
 
@@ -243,7 +221,8 @@ mod tests {
     #[test]
     fn pair_limit_aborts() {
         let r = patient();
-        assert!(FastFds::with_pair_limit(1).discover(&r).is_empty());
+        let (fds, _) = FastFds::new().discover_budgeted(&r, &Budget::unlimited().pair_cap(1));
+        assert!(fds.is_empty());
     }
 
     #[test]
@@ -268,7 +247,7 @@ mod tests {
     #[test]
     fn structural_pair_guard_reports_pair_budget() {
         let r = patient();
-        let (fds, t) = FastFds::with_pair_limit(1).discover_budgeted(&r, &Budget::unlimited());
+        let (fds, t) = FastFds::new().discover_budgeted(&r, &Budget::unlimited().pair_cap(1));
         assert!(fds.is_empty());
         assert_eq!(t, Termination::PairBudget);
     }

@@ -14,7 +14,7 @@
 //! result.
 
 use crate::agree::AgreeSetCollector;
-use fd_core::{invert_ncover, AttrId, AttrSet, Fd, FdSet, NCover};
+use fd_core::{invert_ncover, AttrId, AttrSet, Budget, Fd, FdSet, NCover, Termination};
 use fd_relation::{FdAlgorithm, Relation};
 
 /// Adds `∅ ↛ A` for every non-constant column `A`. Every induction-based
@@ -37,38 +37,20 @@ pub(crate) fn seed_empty_lhs_non_fds(relation: &Relation, ncover: &mut NCover) {
 /// The Fdep exact induction algorithm.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Fdep {
-    /// Safety valve for the harness: abort (returning an empty set) if the
-    /// relation implies more than this many intra-cluster pair comparisons.
-    /// `None` means unbounded; the paper's runs bound Fdep by wall-clock
-    /// instead (it hits the 4 h limit on the large datasets).
-    pub max_pairs: Option<u64>,
     /// Worker threads for the pairwise enumeration (an extension over the
     /// single-threaded original; 0/1 = sequential).
     pub threads: usize,
 }
 
 impl Fdep {
-    /// Unbounded, sequential Fdep.
+    /// Sequential Fdep.
     pub fn new() -> Self {
         Fdep::default()
     }
 
-    /// Fdep that gives up beyond a pair-comparison budget.
-    pub fn with_pair_limit(max_pairs: u64) -> Self {
-        Fdep { max_pairs: Some(max_pairs), ..Default::default() }
-    }
-
     /// Fdep with parallel agree-set enumeration.
     pub fn with_threads(threads: usize) -> Self {
-        Fdep { threads, ..Default::default() }
-    }
-
-    /// Builds the complete negative cover by exhausting all intra-cluster
-    /// tuple pairs. Exposed for tests that inspect the cover directly.
-    pub fn negative_cover(&self, relation: &Relation) -> Option<NCover> {
-        let mut collector = AgreeSetCollector::new().with_threads(self.threads);
-        collector.max_pairs = self.max_pairs;
-        collector.collect(relation)
+        Fdep { threads }
     }
 }
 
@@ -77,10 +59,17 @@ impl FdAlgorithm for Fdep {
         "Fdep"
     }
 
-    fn discover(&self, relation: &Relation) -> FdSet {
-        match self.negative_cover(relation) {
-            Some(ncover) => invert_ncover(&ncover).to_fdset(),
-            None => FdSet::new(),
+    /// Polls the budget per cluster of the pair enumeration; a pair cap
+    /// below the relation's intra-cluster pair count refuses the run before
+    /// any pair is compared. A trip during collection returns the empty
+    /// set: inverting a truncated negative cover would claim FDs that the
+    /// uncompared pairs may violate.
+    fn discover_budgeted(&self, relation: &Relation, budget: &Budget) -> (FdSet, Termination) {
+        match AgreeSetCollector::new().with_threads(self.threads).collect(relation, budget) {
+            (Some(ncover), Termination::Converged) => {
+                (invert_ncover(&ncover).to_fdset(), Termination::Converged)
+            }
+            (_, t) => (FdSet::new(), t),
         }
     }
 }
@@ -124,9 +113,9 @@ mod tests {
     #[test]
     fn pair_limit_aborts_gracefully() {
         let r = patient();
-        let fdep = Fdep::with_pair_limit(1);
-        assert!(fdep.negative_cover(&r).is_none());
-        assert!(fdep.discover(&r).is_empty());
+        let (fds, t) = Fdep::new().discover_budgeted(&r, &Budget::unlimited().pair_cap(1));
+        assert_eq!(t, Termination::PairBudget);
+        assert!(fds.is_empty());
     }
 
     #[test]

@@ -25,7 +25,9 @@
 //! original.
 
 use crate::fdep::seed_empty_lhs_non_fds;
-use fd_core::{AgreeSetTable, AttrId, AttrSet, FastHashSet, Fd, FdSet, FdTree, NCover};
+use fd_core::{
+    AgreeSetTable, AttrId, AttrSet, Budget, FastHashSet, Fd, FdSet, FdTree, NCover, Termination,
+};
 use fd_relation::{sampling_clusters_cached, FdAlgorithm, PliCache, Relation, RowId, RowMajor};
 
 /// The HyFD exact hybrid algorithm.
@@ -112,11 +114,14 @@ impl Sampler {
     }
 }
 
-/// Inverts a non-FD into the candidate tree (the induction step). Returns
-/// the smallest LHS level at which new candidates were created, if any —
-/// validation must rewind to that level.
-fn invert_into_tree(tree: &mut FdTree, non_fd: &Fd, n_attrs: usize) -> Option<usize> {
-    let mut min_new_level: Option<usize> = None;
+/// Inverts a non-FD into the candidate tree (the induction step).
+///
+/// Validation never needs to revisit a level below the one it is on: a
+/// validated candidate holds, so it is never a generalization of a true
+/// non-FD and never removed; by induction every removed general lies at or
+/// above the current level `L`, and every candidate made from one lands at
+/// `L + 1` or above.
+fn invert_into_tree(tree: &mut FdTree, non_fd: &Fd, n_attrs: usize) {
     loop {
         let generals = tree.remove_generalizations(&non_fd.lhs, non_fd.rhs);
         if generals.is_empty() {
@@ -132,12 +137,9 @@ fn invert_into_tree(tree: &mut FdTree, non_fd: &Fd, n_attrs: usize) -> Option<us
                     continue;
                 }
                 tree.add(candidate, non_fd.rhs);
-                let lvl = candidate.len();
-                min_new_level = Some(min_new_level.map_or(lvl, |m: usize| m.min(lvl)));
             }
         }
     }
-    min_new_level
 }
 
 /// Validates `lhs → rhs` against the full relation using the PLI-cached
@@ -180,7 +182,10 @@ impl FdAlgorithm for HyFd {
         "HyFD"
     }
 
-    fn discover(&self, relation: &Relation) -> FdSet {
+    /// Polls the budget once per validation level. On a trip it returns the
+    /// FDs validated so far: each holds on the full instance and, being
+    /// validated level by level, is minimal — only completeness is lost.
+    fn discover_budgeted(&self, relation: &Relation, budget: &Budget) -> (FdSet, Termination) {
         let m = relation.n_attrs();
         let mut ncover = NCover::new(m);
         seed_empty_lhs_non_fds(relation, &mut ncover);
@@ -202,13 +207,16 @@ impl FdAlgorithm for HyFd {
         let mut validated: FastHashSet<Fd> = FastHashSet::default();
         let mut level = 0usize;
         while level <= tree.depth() {
-            let candidates: Vec<Fd> =
-                tree.level(level).into_iter().filter(|fd| !validated.contains(fd)).collect();
+            if let Some(t) = budget.poll(0, tree.len()) {
+                return (validated.into_iter().collect(), t);
+            }
+            // Levels are visited once and candidates only ever land above the
+            // current level, so none of these has been validated yet.
+            let candidates = tree.level(level);
             if candidates.is_empty() {
                 level += 1;
                 continue;
             }
-            let mut rewind: Option<usize> = None;
             let mut invalid = 0usize;
             let validate_span = fd_telemetry::span!("hyfd.validate");
             for fd in &candidates {
@@ -229,10 +237,7 @@ impl FdAlgorithm for HyFd {
                             if agree.contains(rhs) {
                                 continue;
                             }
-                            let non_fd = Fd::new(agree, rhs);
-                            if let Some(lvl) = invert_into_tree(&mut tree, &non_fd, m) {
-                                rewind = Some(rewind.map_or(lvl, |r: usize| r.min(lvl)));
-                            }
+                            invert_into_tree(&mut tree, &Fd::new(agree, rhs), m);
                         }
                     }
                 }
@@ -248,19 +253,14 @@ impl FdAlgorithm for HyFd {
                         if agree.contains(rhs) {
                             continue;
                         }
-                        if let Some(lvl) = invert_into_tree(&mut tree, &Fd::new(agree, rhs), m) {
-                            rewind = Some(rewind.map_or(lvl, |r: usize| r.min(lvl)));
-                        }
+                        invert_into_tree(&mut tree, &Fd::new(agree, rhs), m);
                     }
                 }
             }
-            level = match rewind {
-                Some(lvl) if lvl <= level => lvl,
-                _ => level + 1,
-            };
+            level += 1;
             // The PLI cache's LRU budget bounds growth; no manual clearing.
         }
-        tree.to_fds().into_iter().collect()
+        (tree.to_fds().into_iter().collect(), Termination::Converged)
     }
 }
 

@@ -93,14 +93,11 @@ impl Tane {
         self.threads = threads;
         self
     }
+}
 
-    /// Runs discovery; `None` signals the memory guard tripped (reported as
-    /// `ML` by the benchmark harness, like the paper's Table III).
-    pub fn try_discover(&self, relation: &Relation) -> Option<FdSet> {
-        match self.discover_budgeted(relation, &Budget::unlimited()) {
-            (fds, Termination::Converged) => Some(fds),
-            _ => None,
-        }
+impl FdAlgorithm for Tane {
+    fn name(&self) -> &str {
+        "Tane"
     }
 
     /// Budgeted anytime traversal. Polls the budget at every lattice level
@@ -115,11 +112,7 @@ impl Tane {
     /// [`Tane::max_level_width`] guard reports as
     /// [`Termination::MemoryBudget`], as does the budget's cover cap when
     /// the live lattice level outgrows it.
-    pub fn discover_budgeted(
-        &self,
-        relation: &Relation,
-        budget: &Budget,
-    ) -> (FdSet, Termination) {
+    fn discover_budgeted(&self, relation: &Relation, budget: &Budget) -> (FdSet, Termination) {
         let m = relation.n_attrs();
         let n = relation.n_rows();
         let threads = fd_core::clamp_threads(self.threads);
@@ -373,16 +366,6 @@ fn generate_products(
     failed.map_or(Ok(out), Err)
 }
 
-impl FdAlgorithm for Tane {
-    fn name(&self) -> &str {
-        "Tane"
-    }
-
-    fn discover(&self, relation: &Relation) -> FdSet {
-        self.try_discover(relation).unwrap_or_default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -491,9 +474,10 @@ mod tests {
     #[test]
     fn level_limit_aborts() {
         let r = patient();
-        assert!(Tane::with_level_limit(1).try_discover(&r).is_none());
+        let (fds, t) = Tane::with_level_limit(1).discover_budgeted(&r, &Budget::unlimited());
+        assert!(t.is_partial());
+        assert!(fds.is_empty());
         assert!(Tane::with_level_limit(1).discover(&r).is_empty());
-        let (_, t) = Tane::with_level_limit(1).discover_budgeted(&r, &Budget::unlimited());
         assert_eq!(t, Termination::MemoryBudget);
     }
 

@@ -186,115 +186,85 @@ impl Algo {
         self.run_isolated(relation, RunGuard::default())
     }
 
-    /// Runs the algorithm under `guard` through [`fd_core::isolate`]: each
-    /// attempt gets a fresh budget carrying the deadline, a watchdog
-    /// thread cancels its token at the deadline, and panics are retried up
-    /// to `guard.panic_retries` times before being recorded as
-    /// [`RunOutcome::Panicked`].
-    ///
-    /// Budget-aware algorithms (Tane, EulerFD) poll the budget and return
-    /// partial results on a trip; the others (Fdep, HyFD, AID-FD) only
-    /// observe an already-cancelled token before starting. Without a
-    /// deadline the outcomes are those of the unbudgeted algorithms.
+    /// Runs the algorithm under `guard` through [`run_isolated_algorithm`],
+    /// after its shape guards: runs the paper records as `TL`/`ML` on
+    /// column-heavy schemas are reported as such without burning hours.
     pub fn run_isolated(&self, relation: &Relation, guard: RunGuard) -> RunOutcome {
         let rows = relation.n_rows() as u64;
         let cols = relation.n_attrs() as u64;
-        let run = |budget: &Budget| {
-            if let Some(reason) = budget.token().reason() {
-                return RunOutcome::Partial { secs: 0.0, fds: FdSet::new(), termination: reason };
+        let algo: Box<dyn FdAlgorithm> = match self {
+            Algo::Tane => {
+                // Tane's lattice explodes in columns; the paper records ML on
+                // plista (63), flight (109), uniprot (223) and on weather /
+                // lineitem (row-heavy partitions at deep levels).
+                if cols > 40 || rows * cols > 4_000_000 {
+                    return RunOutcome::MemoryLimit;
+                }
+                Box::new(fd_baselines::Tane::with_level_limit(2_000_000))
             }
-            match self {
-                Algo::Tane => {
-                    // Tane's lattice explodes in columns; the paper records ML on
-                    // plista (63), flight (109), uniprot (223) and on weather /
-                    // lineitem (row-heavy partitions at deep levels).
-                    if cols > 40 {
-                        return RunOutcome::MemoryLimit;
-                    }
-                    if rows * cols > 4_000_000 {
-                        return RunOutcome::MemoryLimit;
-                    }
-                    let tane = fd_baselines::Tane::with_level_limit(2_000_000);
-                    let start = Instant::now();
-                    match tane.discover_budgeted(relation, budget) {
-                        (fds, Termination::Converged) => {
-                            RunOutcome::Completed { secs: start.elapsed().as_secs_f64(), fds }
-                        }
-                        // With no live budget the only trip is the structural
-                        // width guard: the legacy ML cell.
-                        (_, Termination::MemoryBudget) if budget.is_unlimited() => {
-                            RunOutcome::MemoryLimit
-                        }
-                        (fds, termination) => RunOutcome::Partial {
-                            secs: start.elapsed().as_secs_f64(),
-                            fds,
-                            termination,
-                        },
-                    }
+            Algo::Fdep => Box::new(fd_baselines::Fdep::new()),
+            Algo::HyFd => {
+                // HyFD validates against the whole instance; on very wide
+                // schemas the candidate tree itself is the bottleneck (the
+                // paper records TL on uniprot's 223 columns).
+                if cols > 150 {
+                    return RunOutcome::TimeLimit;
                 }
-                Algo::Fdep => {
-                    // Quadratic in rows: the paper records TL/ML on the largest
-                    // datasets while completing adult/chess/nursery in minutes;
-                    // the pair budget is sized to reproduce that split.
-                    let fdep = fd_baselines::Fdep::with_pair_limit(1_200_000_000);
-                    let start = Instant::now();
-                    match fdep.negative_cover(relation) {
-                        Some(ncover) => {
-                            let fds = fd_core::invert_ncover(&ncover).to_fdset();
-                            RunOutcome::Completed { secs: start.elapsed().as_secs_f64(), fds }
-                        }
-                        None => RunOutcome::TimeLimit,
-                    }
-                }
-                Algo::HyFd => {
-                    // HyFD validates against the whole instance; on very wide
-                    // schemas the candidate tree itself is the bottleneck (the
-                    // paper records TL on uniprot's 223 columns).
-                    if cols > 150 {
-                        return RunOutcome::TimeLimit;
-                    }
-                    let start = Instant::now();
-                    let fds = fd_baselines::HyFd::default().discover(relation);
-                    RunOutcome::Completed { secs: start.elapsed().as_secs_f64(), fds }
-                }
-                Algo::AidFd => {
-                    let start = Instant::now();
-                    let fds = fd_baselines::AidFd::default().discover(relation);
-                    RunOutcome::Completed { secs: start.elapsed().as_secs_f64(), fds }
-                }
-                Algo::EulerFd => {
-                    let start = Instant::now();
-                    let (fds, report) = eulerfd::EulerFd::new().discover_budgeted(relation, budget);
-                    if report.termination.is_partial() {
-                        RunOutcome::Partial {
-                            secs: start.elapsed().as_secs_f64(),
-                            fds,
-                            termination: report.termination,
-                        }
-                    } else {
-                        RunOutcome::Completed { secs: start.elapsed().as_secs_f64(), fds }
-                    }
-                }
+                Box::new(fd_baselines::HyFd::default())
             }
+            Algo::AidFd => Box::new(fd_baselines::AidFd::default()),
+            Algo::EulerFd => Box::new(eulerfd::EulerFd::new()),
         };
-        isolate(|| Budget::from_deadline(guard.deadline), guard.deadline, guard.panic_retries, run)
-            .unwrap_or_else(RunOutcome::from)
+        // Fdep is quadratic in rows: the paper records TL/ML on the largest
+        // datasets while completing adult/chess/nursery in minutes; the pair
+        // cap is sized to reproduce that split.
+        let pair_cap = (*self == Algo::Fdep).then_some(1_200_000_000);
+        run_guarded(algo.as_ref(), relation, guard, pair_cap)
     }
 }
 
-/// [`Algo::run_isolated`] for an arbitrary [`FdAlgorithm`]: times the run,
-/// catches panics, and retries per the guard. The guard's deadline does not
-/// apply: a plain `FdAlgorithm` has no budget to poll. Panic isolation is
-/// what sweep code needs to survive a hostile cell.
+/// Runs any [`FdAlgorithm`] under `guard` through [`fd_core::isolate`]:
+/// each attempt gets a fresh budget carrying the deadline, a watchdog
+/// thread cancels its token at the deadline, and panics are retried up to
+/// `guard.panic_retries` times before being recorded as
+/// [`RunOutcome::Panicked`]. A deadline or cancellation trip is a
+/// [`RunOutcome::Partial`] carrying the algorithm's sound partial result.
 pub fn run_isolated_algorithm(
     algo: &dyn FdAlgorithm,
     relation: &Relation,
     guard: RunGuard,
 ) -> RunOutcome {
-    isolate(Budget::unlimited, None, guard.panic_retries, |_| {
+    run_guarded(algo, relation, guard, None)
+}
+
+/// [`run_isolated_algorithm`] with an optional pair cap on each attempt's
+/// budget. The budget carries no other cap, so a `MemoryBudget` trip is an
+/// algorithm's own structural guard (Tane's lattice width) and a
+/// `PairBudget` trip is the pair cap: they are the paper's `ML` and `TL`
+/// cells.
+fn run_guarded(
+    algo: &dyn FdAlgorithm,
+    relation: &Relation,
+    guard: RunGuard,
+    pair_cap: Option<u64>,
+) -> RunOutcome {
+    let budget = || {
+        let budget = Budget::from_deadline(guard.deadline);
+        match pair_cap {
+            Some(cap) => budget.pair_cap(cap),
+            None => budget,
+        }
+    };
+    isolate(budget, guard.deadline, guard.panic_retries, |budget| {
         let start = Instant::now();
-        let fds = algo.discover(relation);
-        RunOutcome::Completed { secs: start.elapsed().as_secs_f64(), fds }
+        let (fds, termination) = algo.discover_budgeted(relation, budget);
+        let secs = start.elapsed().as_secs_f64();
+        match termination {
+            Termination::Converged => RunOutcome::Completed { secs, fds },
+            Termination::MemoryBudget => RunOutcome::MemoryLimit,
+            Termination::PairBudget => RunOutcome::TimeLimit,
+            termination => RunOutcome::Partial { secs, fds, termination },
+        }
     })
     .unwrap_or_else(RunOutcome::from)
 }
@@ -312,7 +282,12 @@ pub fn ground_truth(relation: &Relation) -> Option<FdSet> {
         return Some(fd_baselines::Fdep::new().discover(relation));
     }
     if cols <= 35 {
-        return fd_baselines::Tane::with_level_limit(4_000_000).try_discover(relation);
+        return match fd_baselines::Tane::with_level_limit(4_000_000)
+            .discover_budgeted(relation, &Budget::unlimited())
+        {
+            (fds, Termination::Converged) => Some(fds),
+            _ => None,
+        };
     }
     None
 }

@@ -49,7 +49,7 @@
 //! | `sampling_clusters` | `sampling_clusters_parallel`          | one attribute       |
 //! | `cover_invert`      | `PCover::invert_batch*`               | one RHS tree's work |
 //! | `tane_products`     | Tane's per-level `generate_products`  | candidate chunk     |
-//! | `agree_sets`        | `AgreeSetCollector::collect_budgeted` | cluster chunk       |
+//! | `agree_sets`        | `AgreeSetCollector::collect`          | cluster chunk       |
 //!
 //! ## Cost-hint units
 //!

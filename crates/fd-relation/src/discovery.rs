@@ -7,15 +7,24 @@
 //! algorithm crates stay independent of each other.
 
 use crate::relation::Relation;
-use fd_core::FdSet;
+use fd_core::{Budget, FdSet, Termination};
 
 /// A functional dependency discovery algorithm.
 pub trait FdAlgorithm {
     /// Human-readable algorithm name, as used in the paper's tables.
     fn name(&self) -> &str;
 
-    /// Discovers non-trivial minimal FDs of `relation`.
-    fn discover(&self, relation: &Relation) -> FdSet;
+    /// Discovers non-trivial minimal FDs of `relation` under `budget`,
+    /// returning them with the [`Termination`] that ended the run. An
+    /// unlimited budget gives the full answer and `Converged`; a trip
+    /// returns the algorithm's partial result (DESIGN.md §9 lists what each
+    /// algorithm keeps) with the trip's reason.
+    fn discover_budgeted(&self, relation: &Relation, budget: &Budget) -> (FdSet, Termination);
+
+    /// Discovers non-trivial minimal FDs of `relation` without limits.
+    fn discover(&self, relation: &Relation) -> FdSet {
+        self.discover_budgeted(relation, &Budget::unlimited()).0
+    }
 }
 
 /// Verifies a discovered FD set against the full relation: every reported FD

@@ -155,7 +155,7 @@ mod tests {
         for ds in &fleet {
             let (_, rhi, _) = ROW_BUCKETS[ds.row_bucket];
             let (clo, chi, _) = COL_BUCKETS[ds.col_bucket];
-            assert!(ds.relation.n_rows() <= rhi.min(2000).max(2));
+            assert!(ds.relation.n_rows() <= rhi.clamp(2, 2000));
             assert!(ds.relation.n_attrs() >= clo.min(2) && ds.relation.n_attrs() <= chi);
         }
     }

@@ -2,8 +2,9 @@
 # Full local gate: release build, tests, and lint with warnings denied.
 #
 # This is a superset of the CI tier-1 gate (`cargo build --release &&
-# cargo test -q`); run it before pushing. `needless_range_loop` is allowed
-# workspace-wide: the kernels index multiple parallel slices by design.
+# cargo test -q`); run it before pushing. Clippy checks every target, tests
+# and benches included. `needless_range_loop` is allowed workspace-wide: the
+# kernels index multiple parallel slices by design.
 #
 # Pass `--chaos` to also run the seeded fault-injection suite
 # (tests/chaos.rs) with the `faults` feature armed. The seed set is fixed
@@ -123,7 +124,13 @@ cargo test -q -p fd-server --features telemetry --lib protocol::tests::golden
 cargo test -q -p fd-telemetry --lib snapshot::tests::to_json_pins_the_pretty_v1_bytes
 cargo test -q -p fd-telemetry --lib json::tests
 cargo test -q -p fd-core --lib isolate::tests
-cargo clippy --workspace -- -D warnings -A clippy::needless_range_loop
+# Discovery-contract gate: every algorithm answers
+# `FdAlgorithm::discover_budgeted`; an unlimited budget is `discover` and
+# converges, a cancelled one stops with `Cancelled` and sound exact FDs, and
+# the agree-set collector refuses a pair cap it would exceed, before any
+# compare, at 1 and 2 threads.
+cargo test -q --test discovery_contract
+cargo clippy --workspace --all-targets -- -D warnings -A clippy::needless_range_loop
 
 # The benchmark (fdbench/, its own workspace) must keep compiling against
 # the library crates it measures.

@@ -18,9 +18,10 @@
 //!
 //! This is the "DMS-shaped" entry point: point it at a CSV and get the
 //! dependency structure, candidate keys, or a cross-algorithm comparison.
-//! `--budget-ms` gives discovery a wall-clock deadline (anytime execution:
-//! a tripped run reports its sound partial result); `--on-ragged` chooses
-//! what to do with rows whose field count disagrees with the header.
+//! `--budget-ms` gives discovery a wall-clock deadline that every algorithm
+//! honours (anytime execution: a tripped run reports its partial result,
+//! marked as such); `--on-ragged` chooses what to do with rows whose field
+//! count disagrees with the header.
 //!
 //! `--delta-csv <rows.csv>` and/or `--delete-rows <ids>` switch `discover`
 //! into incremental mode: the base table is discovered cold with the exact
@@ -95,7 +96,7 @@ fn main() {
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  fdtool discover <file.csv> [--algo euler|aid|hyfd|tane|fdep|fastfds] [--sep C] [--no-header] [--budget-ms N] [--on-ragged error|skip|pad] [--metrics-out PATH] [--metrics-summary] [--delta-csv ROWS.csv] [--delete-rows 3,17,99]\n  fdtool keys <file.csv> [--sep C] [--no-header] [--budget-ms N] [--on-ragged P]\n  fdtool profile <file.csv> [--sep C] [--no-header] [--on-ragged P]\n  fdtool compare <file.csv> [--sep C] [--no-header] [--budget-ms N] [--on-ragged P] [--metrics-out PATH] [--metrics-summary]\n  fdtool generate <dataset> <rows> <out.csv>\n  fdtool datasets\n  fdtool serve [--socket PATH] [--load name=file.csv ...] [--workers N] [--budget-ms N] [--sep C] [--no-header] [--metrics-interval-ms N] [--prom-out PATH] [--slow-ms N]\n  fdtool top <socket> [--interval-ms N] [--iterations N]"
+        "usage:\n  fdtool discover <file.csv> [--algo euler|aid|hyfd|tane|fdep|fastfds] [--sep C] [--no-header] [--budget-ms N] [--on-ragged error|skip|pad] [--metrics-out PATH] [--metrics-summary] [--delta-csv ROWS.csv] [--delete-rows 3,17,99]\n  fdtool keys <file.csv> [--sep C] [--no-header] [--budget-ms N] [--on-ragged P]\n  fdtool profile <file.csv> [--sep C] [--no-header] [--on-ragged P]\n  fdtool compare <file.csv> [--sep C] [--no-header] [--budget-ms N] [--on-ragged P] [--metrics-out PATH] [--metrics-summary]\n  fdtool generate <dataset> <rows> <out.csv>\n  fdtool datasets\n  fdtool serve [--socket PATH] [--load name=file.csv ...] [--workers N] [--budget-ms N] [--sep C] [--no-header] [--metrics-interval-ms N] [--prom-out PATH] [--slow-ms N]\n  fdtool top <socket> [--interval-ms N] [--iterations N]\n--budget-ms N: an N ms discovery deadline, honoured by every --algo; a tripped run reports its partial result."
     );
     exit(2);
 }
@@ -245,38 +246,26 @@ fn load(path: &str, options: &CsvOptions) -> Relation {
     }
 }
 
-/// Runs one algorithm under `budget`. Algorithms without a budgeted path
-/// (Fdep, HyFD, AID-FD) run to completion and the deadline is advisory.
+/// Builds one discovery algorithm.
+type MakeAlgorithm = fn() -> Box<dyn FdAlgorithm>;
+
+/// Every `--algo` name with the algorithm it runs, in `compare`'s row order.
+const ALGORITHMS: [(&str, MakeAlgorithm); 6] = [
+    ("tane", || Box::new(Tane::new())),
+    ("fdep", || Box::new(Fdep::new())),
+    ("fastfds", || Box::new(FastFds::new())),
+    ("hyfd", || Box::new(HyFd::default())),
+    ("aid", || Box::new(AidFd::default())),
+    ("euler", || Box::new(EulerFd::new())),
+];
+
+/// Runs the algorithm `--algo` names under `budget`.
 fn run_algo(name: &str, relation: &Relation, budget: &Budget) -> (FdSet, Termination) {
-    let note_unbudgeted = |algo: &str| {
-        if !budget.is_unlimited() {
-            eprintln!("note: {algo} has no budgeted path; --budget-ms is ignored for it");
-        }
+    let Some((_, algorithm)) = ALGORITHMS.iter().find(|(n, _)| *n == name) else {
+        eprintln!("unknown algorithm {name}");
+        exit(2);
     };
-    match name {
-        "euler" => {
-            let (fds, report) = EulerFd::new().discover_budgeted(relation, budget);
-            (fds, report.termination)
-        }
-        "tane" => Tane::new().discover_budgeted(relation, budget),
-        "fastfds" => FastFds::new().discover_budgeted(relation, budget),
-        "aid" => {
-            note_unbudgeted("aid");
-            (AidFd::default().discover(relation), Termination::Converged)
-        }
-        "hyfd" => {
-            note_unbudgeted("hyfd");
-            (HyFd::default().discover(relation), Termination::Converged)
-        }
-        "fdep" => {
-            note_unbudgeted("fdep");
-            (Fdep::new().discover(relation), Termination::Converged)
-        }
-        other => {
-            eprintln!("unknown algorithm {other}");
-            exit(2);
-        }
-    }
+    algorithm().discover_budgeted(relation, budget)
 }
 
 fn discover(args: &[String]) {
@@ -452,7 +441,7 @@ fn compare(args: &[String]) {
     // accuracy reference.
     let truth = HyFd::default().discover(&relation);
     println!("{:<8} {:>10} {:>8} {:>7}", "algo", "time[ms]", "FDs", "F1");
-    for name in ["tane", "fdep", "fastfds", "hyfd", "aid", "euler"] {
+    for (name, _) in ALGORITHMS {
         let start = Instant::now();
         // A budget per run: its deadline clock starts with the run, so
         // every algorithm gets the same allowance.

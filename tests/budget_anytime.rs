@@ -183,7 +183,7 @@ impl FdAlgorithm for Detonator {
         "detonator"
     }
 
-    fn discover(&self, _relation: &Relation) -> FdSet {
+    fn discover_budgeted(&self, _relation: &Relation, _budget: &Budget) -> (FdSet, Termination) {
         panic!("injected fault: detonator always explodes");
     }
 }

@@ -10,7 +10,7 @@
 
 use eulerfd_suite::algo::{EulerFd, EulerFdConfig};
 use eulerfd_suite::baselines::{AidFd, HyFd};
-use eulerfd_suite::core::{Accuracy, Budget};
+use eulerfd_suite::core::{Accuracy, Budget, Termination};
 use eulerfd_suite::relation::synth;
 use eulerfd_suite::relation::FdAlgorithm;
 
@@ -84,10 +84,12 @@ fn exact_guards_trip_where_the_paper_reports_limits() {
     // 63 columns put ≥ C(63,2) = 1953 candidates on lattice level 2 alone,
     // so a 1500-wide memory guard must always trip regardless of data.
     let tane = eulerfd_suite::baselines::Tane::with_level_limit(1500);
-    assert!(tane.try_discover(&wide).is_none(), "Tane must trip its lattice guard on 63 columns");
+    let (_, t) = tane.discover_budgeted(&wide, &Budget::unlimited());
+    assert!(t.is_partial(), "Tane must trip its lattice guard on 63 columns");
     let tall = synth::dataset_spec("lineitem").unwrap().generate(30_000);
-    let fdep = eulerfd_suite::baselines::Fdep::with_pair_limit(1_000_000);
-    assert!(fdep.negative_cover(&tall).is_none(), "Fdep must trip its pair guard on 30k rows");
+    let fdep = eulerfd_suite::baselines::Fdep::new();
+    let (_, t) = fdep.discover_budgeted(&tall, &Budget::unlimited().pair_cap(1_000_000));
+    assert_eq!(t, Termination::PairBudget, "Fdep must trip its pair guard on 30k rows");
     // EulerFD completes both regimes (width projected to keep the true
     // cover — and thus this smoke test — small; full width is the job of
     // the fig8/fig9/table3 harness runs).
