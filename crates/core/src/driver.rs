@@ -228,17 +228,14 @@ impl EulerFd {
             // Processing the most specialized non-FDs first (Algorithm 2's
             // sort) prunes each candidate once instead of re-specializing it
             // repeatedly as more general evidence arrives. The shards watch
-            // the budget's token, so a watchdog or external cancel stops the
-            // inversion between non-FDs; whatever it skipped stays in
-            // `pending` for the final drain below.
+            // the budget, so a deadline, a watchdog or an external cancel
+            // stops the inversion between non-FDs; whatever it skipped stays
+            // in `pending` for the final drain below, and the poll after the
+            // cycle's bookkeeping reports the trip.
             let before_p = pcover.len();
-            let delta = {
+            let (delta, _) = {
                 let _invert = fd_telemetry::span!("euler.phase.invert");
-                pcover.invert_batch_cancellable(
-                    &mut pending,
-                    self.config.resolved_threads(),
-                    budget.token(),
-                )
+                pcover.invert_batch(&mut pending, self.config.resolved_threads(), budget)
             };
             report.inversions += 1;
             report.invert_delta += delta;
@@ -285,9 +282,10 @@ impl EulerFd {
             // the cover so the partial answer stays sound w.r.t. every pair
             // actually compared. Skipped only on an external cancel, where
             // the caller asked to stop as fast as possible.
-            let delta = {
+            let (delta, _) = {
                 let _invert = fd_telemetry::span!("euler.phase.invert");
-                pcover.invert_batch(&mut pending, self.config.resolved_threads())
+                let threads = self.config.resolved_threads();
+                pcover.invert_batch(&mut pending, threads, &Budget::unlimited())
             };
             report.inversions += 1;
             report.invert_delta += delta;

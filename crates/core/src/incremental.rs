@@ -36,9 +36,7 @@
 //! falls back to that cold rebuild, trading time for a guaranteed answer —
 //! never a wrong one.
 
-use fd_core::{
-    invert_ncover_parallel, AttrId, AttrSet, FastHashMap, FastHashSet, Fd, FdSet, NCover, PCover,
-};
+use fd_core::{AttrId, AttrSet, Budget, FastHashMap, FastHashSet, Fd, FdSet, NCover, PCover};
 use fd_relation::{PliCache, Relation, RowDelta, RowId, RowMajor};
 
 /// Exact FD discovery state that can be patched in place after row updates.
@@ -343,7 +341,7 @@ impl DeltaEngine {
                 }
             }
         }
-        self.pcover.invert_batch(&mut pending, self.threads);
+        self.pcover.invert_batch(&mut pending, self.threads, &Budget::unlimited());
 
         report.dead_agree_sets = dead.len();
         report.fresh_agree_sets = fresh_sorted.len();
@@ -381,7 +379,8 @@ fn cold_state(
     for s in keys {
         ncover.add_agree_set(s);
     }
-    let pcover = invert_ncover_parallel(&ncover, threads);
+    let mut pcover = PCover::initialized(m);
+    pcover.invert_batch(&mut ncover.to_fds(), threads, &Budget::unlimited());
     (support, ncover, pcover, constant)
 }
 

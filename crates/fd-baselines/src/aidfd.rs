@@ -10,7 +10,7 @@
 //! exactly what EulerFD's MLFQ and double-cycle structure address.
 
 use crate::fdep::seed_empty_lhs_non_fds;
-use fd_core::{invert_ncover, AgreeSetTable, Budget, FdSet, NCover, Termination};
+use fd_core::{AgreeSetTable, Budget, FdSet, NCover, PCover, Termination};
 use fd_relation::{sampling_clusters, FdAlgorithm, Relation};
 
 /// The AID-FD approximate discovery algorithm.
@@ -55,8 +55,10 @@ impl AidFd {
     }
 
     /// The sampling rounds and the final inversion. The budget is polled
-    /// once per round; a trip ends sampling, and the cover built so far is
-    /// inverted all the same, as EulerFD's final drain does.
+    /// once per round and by the inversion. Any trip returns the empty set:
+    /// a cover inverted half-way would claim FDs that its own sampled pairs
+    /// refute, and after a sampling trip the budget's token is already
+    /// cancelled, so the inversion could not run anyway.
     fn sample_and_invert(
         &self,
         relation: &Relation,
@@ -113,8 +115,14 @@ impl AidFd {
         }
         stats.ncover_size = ncover.len();
         stats.ncover_insertions = ncover.insertions();
-        let fds = invert_ncover(&ncover).to_fdset();
-        (fds, stats, termination)
+        if termination.is_partial() {
+            return (FdSet::new(), stats, termination);
+        }
+        let mut pcover = PCover::initialized(relation.n_attrs());
+        match pcover.invert_batch(&mut ncover.to_fds(), 1, budget) {
+            (_, None) => (pcover.to_fdset(), stats, termination),
+            (_, Some(t)) => (FdSet::new(), stats, t),
+        }
     }
 }
 

@@ -18,13 +18,9 @@
 //! minimal transversal are non-covers and therefore survive to be joined.
 
 use crate::agree::AgreeSetCollector;
+use fd_core::budget::POLL_STRIDE;
 use fd_core::{AttrId, AttrSet, Budget, Fd, FdSet, Termination};
 use fd_relation::{FdAlgorithm, Relation};
-
-/// Iterations between budget polls inside the Apriori join loop; the join is
-/// quadratic in the surviving level width, so polls must not wait for a
-/// level boundary.
-const POLL_STRIDE: u32 = 64;
 
 /// The Dep-Miner exact discovery algorithm.
 #[derive(Clone, Copy, Debug, Default)]

@@ -14,7 +14,7 @@
 //! result.
 
 use crate::agree::AgreeSetCollector;
-use fd_core::{invert_ncover, AttrId, AttrSet, Budget, Fd, FdSet, NCover, Termination};
+use fd_core::{AttrId, AttrSet, Budget, Fd, FdSet, NCover, PCover, Termination};
 use fd_relation::{FdAlgorithm, Relation};
 
 /// Adds `∅ ↛ A` for every non-constant column `A`. Every induction-based
@@ -61,15 +61,19 @@ impl FdAlgorithm for Fdep {
 
     /// Polls the budget per cluster of the pair enumeration; a pair cap
     /// below the relation's intra-cluster pair count refuses the run before
-    /// any pair is compared. A trip during collection returns the empty
-    /// set: inverting a truncated negative cover would claim FDs that the
-    /// uncompared pairs may violate.
+    /// any pair is compared. The inversion polls it too. Any trip returns
+    /// the empty set: inverting a truncated negative cover, or a cover
+    /// half-way, would claim FDs that some pair violates.
     fn discover_budgeted(&self, relation: &Relation, budget: &Budget) -> (FdSet, Termination) {
-        match AgreeSetCollector::new().with_threads(self.threads).collect(relation, budget) {
-            (Some(ncover), Termination::Converged) => {
-                (invert_ncover(&ncover).to_fdset(), Termination::Converged)
-            }
-            (_, t) => (FdSet::new(), t),
+        let collector = AgreeSetCollector::new().with_threads(self.threads);
+        let ncover = match collector.collect(relation, budget) {
+            (Some(ncover), Termination::Converged) => ncover,
+            (_, t) => return (FdSet::new(), t),
+        };
+        let mut pcover = PCover::initialized(ncover.n_attrs());
+        match pcover.invert_batch(&mut ncover.to_fds(), 1, budget) {
+            (_, None) => (pcover.to_fdset(), Termination::Converged),
+            (_, Some(t)) => (FdSet::new(), t),
         }
     }
 }

@@ -4,17 +4,22 @@
 //!
 //! 1. **Sampling / induction** (row-efficient): compare cluster-local tuple
 //!    pairs at growing window distances, harvest non-FDs, and invert them
-//!    into the candidate FD-tree — cheap evidence that removes huge parts of
-//!    the search space before any full validation runs.
-//! 2. **Validation** (column-efficient): walk the FD-tree level by level and
-//!    validate each candidate against the full relation with stripped
-//!    partition products; violations yield witness pairs that are fed back
-//!    as new non-FDs, and the phase switches back to sampling when a level
+//!    into the candidate positive cover — cheap evidence that removes huge
+//!    parts of the search space before any full validation runs.
+//! 2. **Validation** (column-efficient): walk the candidates level by level
+//!    and validate each against the full relation with stripped partition
+//!    products; violations yield witness pairs that are fed back as new
+//!    non-FDs, and the phase switches back to sampling when a level
 //!    invalidates more than a configured fraction of its candidates.
 //!
 //! The result is exact: every reported FD was validated against the entire
 //! instance, and minimality follows from candidates only ever being created
 //! as minimal escapes of invalidated generalizations.
+//!
+//! The candidates live in a [`PCover`], the store every induction algorithm
+//! inverts into, and each level's evidence reaches it in one
+//! [`PCover::invert_batch`] (DESIGN.md §3 gives the rules that keep this as
+//! fast as the original's FD-tree).
 //!
 //! Faithfulness notes (documented deviations from the original Java code):
 //! the original sorts cluster members by a neighbouring attribute before
@@ -25,10 +30,10 @@
 //! original.
 
 use crate::fdep::seed_empty_lhs_non_fds;
-use fd_core::{
-    AgreeSetTable, AttrId, AttrSet, Budget, FastHashSet, Fd, FdSet, FdTree, NCover, Termination,
-};
+use fd_core::budget::POLL_STRIDE;
+use fd_core::{AgreeSetTable, AttrId, AttrSet, Budget, Fd, FdSet, NCover, PCover, Termination};
 use fd_relation::{sampling_clusters_cached, FdAlgorithm, PliCache, Relation, RowId, RowMajor};
+use std::cmp::Ordering;
 
 /// The HyFD exact hybrid algorithm.
 #[derive(Clone, Copy, Debug)]
@@ -74,11 +79,18 @@ impl Sampler {
     }
 
     /// Runs windowed comparison rounds until efficiency drops below the
-    /// threshold or the clusters are exhausted. Returns the fresh agree sets
-    /// whose non-FDs changed the cover (only these need inverting).
-    fn run(&mut self, ncover: &mut NCover, threshold: f64) -> Vec<AttrSet> {
+    /// threshold or the clusters are exhausted, appending every non-FD that
+    /// changed the cover to `inserted` (only these need inverting). Polls
+    /// the budget's clock every [`POLL_STRIDE`] comparisons and returns the
+    /// trip, if there was one.
+    fn run(
+        &mut self,
+        ncover: &mut NCover,
+        threshold: f64,
+        budget: &Budget,
+        inserted: &mut Vec<Fd>,
+    ) -> Option<Termination> {
         let _phase = fd_telemetry::span!("hyfd.sample");
-        let mut fresh = Vec::new();
         while !self.exhausted {
             let mut comparisons = 0usize;
             let mut new = 0usize;
@@ -89,14 +101,15 @@ impl Sampler {
                 }
                 any_pair = true;
                 for i in 0..cluster.len() - self.window {
+                    if comparisons.is_multiple_of(POLL_STRIDE as usize) {
+                        if let Some(t) = budget.poll_time() {
+                            return Some(t);
+                        }
+                    }
                     let agree = self.row_major.agree_set(cluster[i], cluster[i + self.window]);
                     comparisons += 1;
                     if self.seen_agree.insert(agree) {
-                        let added = ncover.add_agree_set(agree);
-                        if added > 0 {
-                            fresh.push(agree);
-                            new += added;
-                        }
+                        new += ncover.add_agree_set_collect(agree, inserted);
                     }
                 }
             }
@@ -110,36 +123,51 @@ impl Sampler {
                 break;
             }
         }
-        fresh
+        None
     }
 }
 
-/// Inverts a non-FD into the candidate tree (the induction step).
-///
-/// Validation never needs to revisit a level below the one it is on: a
-/// validated candidate holds, so it is never a generalization of a true
-/// non-FD and never removed; by induction every removed general lies at or
-/// above the current level `L`, and every candidate made from one lands at
-/// `L + 1` or above.
-fn invert_into_tree(tree: &mut FdTree, non_fd: &Fd, n_attrs: usize) {
-    loop {
-        let generals = tree.remove_generalizations(&non_fd.lhs, non_fd.rhs);
-        if generals.is_empty() {
-            break;
-        }
-        for general in generals {
-            for attr in 0..n_attrs as AttrId {
-                if general.contains(attr) || attr == non_fd.rhs || non_fd.lhs.contains(attr) {
-                    continue;
-                }
-                let candidate = general.with(attr);
-                if tree.contains_generalization(&candidate, non_fd.rhs) {
-                    continue;
-                }
-                tree.add(candidate, non_fd.rhs);
-            }
+/// The order of a prefix-tree walk over one level's candidates: LHSs by
+/// their ascending attribute sequences, then RHSs. For LHSs of one size the
+/// smaller sequence holds the smallest attribute of the symmetric
+/// difference. Neighbours share the longest LHS prefixes, so validating in
+/// this order keeps the PLI cache warm.
+fn prefix_order(x: &Fd, y: &Fd) -> Ordering {
+    for (a, b) in x.lhs.to_words().iter().zip(&y.lhs.to_words()) {
+        let differ = a ^ b;
+        if differ != 0 {
+            let lowest = differ & differ.wrapping_neg();
+            return if a & lowest != 0 { Ordering::Less } else { Ordering::Greater };
         }
     }
+    x.rhs.cmp(&y.rhs)
+}
+
+/// The candidates of every level from `from` up, bucketed by LHS size in one
+/// walk of the cover.
+fn levels_from(pcover: &PCover, from: usize) -> Vec<Vec<Fd>> {
+    let mut levels: Vec<Vec<Fd>> = Vec::new();
+    pcover.for_each(|fd| {
+        let level = fd.lhs.len();
+        if level >= from {
+            if levels.len() <= level {
+                levels.resize_with(level + 1, Vec::new);
+            }
+            levels[level].push(fd);
+        }
+    });
+    levels
+}
+
+/// The candidates whose LHS has fewer than `level` attributes.
+fn below(pcover: &PCover, level: usize) -> FdSet {
+    let mut fds = FdSet::new();
+    pcover.for_each(|fd| {
+        if fd.lhs.len() < level {
+            fds.insert(fd);
+        }
+    });
+    fds
 }
 
 /// Validates `lhs → rhs` against the full relation using the PLI-cached
@@ -182,9 +210,12 @@ impl FdAlgorithm for HyFd {
         "HyFD"
     }
 
-    /// Polls the budget once per validation level. On a trip it returns the
-    /// FDs validated so far: each holds on the full instance and, being
-    /// validated level by level, is minimal — only completeness is lost.
+    /// Polls the budget at every validation level, every [`POLL_STRIDE`]
+    /// validations and sampled pairs, and in the inversions. A trip while
+    /// level `L` is being worked on returns the candidates below `L`: each
+    /// was validated on the full instance, is minimal, and together they are
+    /// every FD of the exact answer with fewer than `L` LHS attributes —
+    /// only completeness is lost.
     fn discover_budgeted(&self, relation: &Relation, budget: &Budget) -> (FdSet, Termination) {
         let m = relation.n_attrs();
         let mut ncover = NCover::new(m);
@@ -194,73 +225,82 @@ impl FdAlgorithm for HyFd {
         // derives every LHS partition from.
         let mut cache = PliCache::with_default_budget();
         let mut sampler = Sampler::new(relation, &mut cache);
-        sampler.run(&mut ncover, self.efficiency_threshold);
-
-        // Induce the initial candidate tree from the sampled negative cover.
-        let mut tree = FdTree::new(m);
-        tree.add_most_general();
-        for non_fd in ncover.to_fds() {
-            invert_into_tree(&mut tree, &non_fd, m);
+        let mut pcover = PCover::initialized(m);
+        let mut pending = Vec::new();
+        if let Some(t) = sampler.run(&mut ncover, self.efficiency_threshold, budget, &mut pending) {
+            return (FdSet::new(), t);
+        }
+        // Induce the initial candidates from the sampled negative cover: its
+        // maximal non-FDs are fewer than the insertions that built it.
+        pending = ncover.to_fds();
+        if let (_, Some(t)) = pcover.invert_batch(&mut pending, 1, budget) {
+            return (FdSet::new(), t);
         }
 
-        // Validate level by level with sampling switchbacks.
-        let mut validated: FastHashSet<Fd> = FastHashSet::default();
+        // Validate level by level with sampling switchbacks. Inversions only
+        // ever add candidates above the level being validated (a validated
+        // candidate holds, so no non-FD removes it, and an escape of a
+        // removed one is one attribute larger), so the levels below are
+        // final and the walk's buckets stay valid until an inversion
+        // changes the cover.
+        let mut levels = levels_from(&pcover, 0);
         let mut level = 0usize;
-        while level <= tree.depth() {
-            if let Some(t) = budget.poll(0, tree.len()) {
-                return (validated.into_iter().collect(), t);
+        while level < levels.len() {
+            if let Some(t) = budget.poll(0, pcover.len()) {
+                return (below(&pcover, level), t);
             }
-            // Levels are visited once and candidates only ever land above the
-            // current level, so none of these has been validated yet.
-            let candidates = tree.level(level);
+            let mut candidates = std::mem::take(&mut levels[level]);
             if candidates.is_empty() {
                 level += 1;
                 continue;
             }
-            let mut invalid = 0usize;
+            candidates.sort_unstable_by(prefix_order);
+            // The level is validated before any of its evidence is inverted;
+            // a candidate a witness of this level already refutes is one the
+            // inversion would remove, so it is skipped, not validated.
+            let mut witnesses: Vec<AttrSet> = Vec::new();
             let validate_span = fd_telemetry::span!("hyfd.validate");
-            for fd in &candidates {
-                // A concurrent invalidation this level may have removed it.
-                if !tree.contains(&fd.lhs, fd.rhs) {
+            for (i, fd) in candidates.iter().enumerate() {
+                if i.is_multiple_of(POLL_STRIDE as usize) {
+                    if let Some(t) = budget.poll_time() {
+                        return (below(&pcover, level), t);
+                    }
+                }
+                if witnesses.iter().any(|s| fd.lhs.is_subset_of(s) && !s.contains(fd.rhs)) {
                     continue;
                 }
-                match validate(relation, &mut cache, &fd.lhs, fd.rhs) {
-                    Ok(()) => {
-                        validated.insert(*fd);
-                    }
-                    Err((t, u)) => {
-                        invalid += 1;
-                        let agree = relation.agree_set(t, u);
-                        // Feed the witness back as evidence and specialize.
-                        ncover.add_agree_set(agree);
-                        for rhs in 0..m as AttrId {
-                            if agree.contains(rhs) {
-                                continue;
-                            }
-                            invert_into_tree(&mut tree, &Fd::new(agree, rhs), m);
-                        }
-                    }
+                if let Err((t, u)) = validate(relation, &mut cache, &fd.lhs, fd.rhs) {
+                    let agree = relation.agree_set(t, u);
+                    ncover.add_agree_set_collect(agree, &mut pending);
+                    witnesses.push(agree);
                 }
             }
             drop(validate_span);
+            let invalid = witnesses.len();
             fd_telemetry::counter!("hyfd.invalidations", invalid as u64);
             // Switch back to sampling when validation was wasteful.
             let ratio = invalid as f64 / candidates.len() as f64;
             if ratio > self.invalid_switch_ratio && !sampler.exhausted {
                 fd_telemetry::counter!("hyfd.switchbacks", 1);
-                for agree in sampler.run(&mut ncover, self.efficiency_threshold) {
-                    for rhs in 0..m as AttrId {
-                        if agree.contains(rhs) {
-                            continue;
-                        }
-                        invert_into_tree(&mut tree, &Fd::new(agree, rhs), m);
-                    }
+                let threshold = self.efficiency_threshold;
+                if let Some(t) = sampler.run(&mut ncover, threshold, budget, &mut pending) {
+                    return (below(&pcover, level), t);
                 }
             }
+            // One inversion per level: each call indexes the trees it
+            // touches afresh, so per-witness calls would rebuild that index
+            // once per witness.
+            let (delta, trip) = pcover.invert_batch(&mut pending, 1, budget);
+            if let Some(t) = trip {
+                return (below(&pcover, level), t);
+            }
             level += 1;
+            if delta.churn() > 0 {
+                levels = levels_from(&pcover, level);
+            }
             // The PLI cache's LRU budget bounds growth; no manual clearing.
         }
-        (tree.to_fds().into_iter().collect(), Termination::Converged)
+        (pcover.to_fdset(), Termination::Converged)
     }
 }
 
@@ -268,8 +308,16 @@ impl FdAlgorithm for HyFd {
 mod tests {
     use super::*;
     use crate::exhaustive::Exhaustive;
-    use fd_relation::synth::patient;
+    use crate::tane::Tane;
+    use fd_relation::synth::{dataset_spec, patient};
     use fd_relation::verify_fds;
+
+    /// Letter at 1 000 or 2 000 rows: HyFD's validation finds witnesses on
+    /// levels 3, 4 and 5, so later levels validate candidates that earlier
+    /// levels' evidence specialized.
+    fn letter(rows: usize) -> Relation {
+        dataset_spec("letter").expect("registered").generate(rows)
+    }
 
     #[test]
     fn hyfd_matches_exhaustive_on_patient() {
@@ -308,6 +356,37 @@ mod tests {
                 "seed {seed}"
             );
         }
+        let r = letter(1000);
+        assert_eq!(HyFd::default().discover(&r), Tane::new().discover(&r), "letter");
+    }
+
+    #[test]
+    fn a_trip_returns_every_exact_fd_below_some_level() {
+        let r = letter(2000);
+        let exact = HyFd::default().discover(&r);
+        let top = exact.iter().map(|fd| fd.lhs.len()).max().expect("letter has FDs");
+        let below =
+            |k: usize| -> FdSet { exact.iter().filter(|fd| fd.lhs.len() < k).copied().collect() };
+        let mut levels = Vec::new();
+        let mut converged = false;
+        for cap in (0..=30).map(|i| i * 100) {
+            let budget = Budget::unlimited().cover_cap(cap);
+            let (fds, termination) = HyFd::default().discover_budgeted(&r, &budget);
+            if termination == Termination::Converged {
+                assert_eq!(fds, exact, "cap {cap}");
+                converged = true;
+                continue;
+            }
+            assert_eq!(termination, Termination::MemoryBudget, "cap {cap}");
+            let k = (0..=top).find(|&k| fds == below(k));
+            assert!(k.is_some(), "cap {cap}: {} FDs, not the exact ones below a level", fds.len());
+            levels.extend(k);
+        }
+        levels.dedup();
+        // The sweep trips before the first level, after some levels, and
+        // converges at its largest caps.
+        assert!(levels.len() >= 3 && levels[0] == 0, "trip levels {levels:?}");
+        assert!(converged, "no cap in the sweep let the run converge");
     }
 
     #[test]

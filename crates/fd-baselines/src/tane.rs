@@ -7,15 +7,11 @@
 //! algorithm that scales well in rows but explodes in columns — exactly the
 //! behaviour Table III shows (`ML` on *plista*, *flight*, *uniprot*).
 
+use fd_core::budget::POLL_STRIDE;
 use fd_core::{AttrId, AttrSet, Budget, Fd, FdSet, Termination};
 use fd_relation::{FdAlgorithm, Partition, PliCache, ProductScratch, Relation};
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// How many inner-loop iterations pass between token polls in the budgeted
-/// traversal. Polling is one relaxed atomic load plus (rarely) a clock
-/// read, so the stride mainly bounds the poll *frequency* on fast loops.
-const POLL_STRIDE: u32 = 64;
 
 /// Per-candidate state carried between levels. The partition is shared
 /// (`Arc`) between the level map and the PLI cache it is donated to.

@@ -28,6 +28,14 @@ use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+/// How many work items a budgeted loop runs between polls of the clock: the
+/// partition product's probe clusters, Tane's and Dep-Miner's inner loops,
+/// the shards of [`crate::PCover::invert_batch`], and HyFD's sampler and
+/// validation.
+/// Checking the token is one relaxed atomic load, so the stride mainly
+/// bounds how often a loop reads the clock.
+pub const POLL_STRIDE: u32 = 64;
+
 /// Why a discovery run stopped.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Termination {

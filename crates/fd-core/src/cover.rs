@@ -2,11 +2,11 @@
 //! [`LhsTree`]s, plus the generic Ncover → Pcover inversion of Algorithm 3.
 //!
 //! These containers are shared by every induction-style algorithm in the
-//! workspace (EulerFD, AID-FD, Fdep): the algorithms differ in *how* they
-//! obtain non-FDs, not in how covers are stored and inverted.
+//! workspace (EulerFD, AID-FD, Fdep, HyFD): the algorithms differ in *how*
+//! they obtain non-FDs, not in how covers are stored and inverted.
 
 use crate::attrset::{AttrId, AttrSet};
-use crate::budget::CancelToken;
+use crate::budget::{Budget, Termination, POLL_STRIDE};
 use crate::fd::{Fd, FdSet};
 use crate::hash::FastHashMap;
 use crate::lhs_tree::LhsTree;
@@ -148,8 +148,8 @@ pub struct PCover {
     len: usize,
 }
 
-/// Mutation counts of one [`PCover::invert`] call, used by EulerFD's second
-/// cycle to compute `GR_Pcover`.
+/// Mutation counts of one [`PCover::invert_batch`] call, used by EulerFD's
+/// second cycle to compute `GR_Pcover`.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct InvertDelta {
     /// FD candidates removed because a non-FD invalidated them.
@@ -198,52 +198,30 @@ impl PCover {
         self.len == 0
     }
 
-    /// Inverts a single non-FD into the cover (Algorithm 3, `invert`):
-    /// removes every candidate generalization of `non_fd` and re-adds
-    /// minimal specializations that escape it.
-    pub fn invert(&mut self, non_fd: Fd) -> InvertDelta {
-        let n = self.n_attrs();
-        let tree = &mut self.per_rhs[non_fd.rhs as usize];
-        let delta = InversionJob::new(tree, n, non_fd.rhs).invert(&non_fd.lhs);
-        self.len = self.len + delta.added - delta.removed;
-        delta
-    }
-
-    /// Inverts a batch of non-FDs, sharded per RHS attribute across up to
-    /// `threads` scoped worker threads. Equivalent to sorting `non_fds` most
-    /// specialized first (Algorithm 2's order) and calling
-    /// [`PCover::invert`] for each: a non-FD `X ↛ A` only ever touches the
-    /// RHS-`A` tree, so the per-RHS work lists are independent, and each is
-    /// processed in the sorted order regardless of which worker runs it —
-    /// the resulting cover is byte-identical for every thread count.
+    /// Inverts a batch of non-FDs (Algorithm 3, `invert`, for each), sharded
+    /// per RHS attribute across up to `threads` scoped worker threads. Each
+    /// non-FD removes every candidate generalization of it and re-adds the
+    /// minimal specializations that escape it. The order is Algorithm 2's,
+    /// most specialized first: a non-FD `X ↛ A` only ever touches the RHS-`A`
+    /// tree, so the per-RHS work lists are independent, and each is processed
+    /// in the sorted order regardless of which worker runs it — the resulting
+    /// cover is byte-identical for every thread count.
     ///
-    /// Drains `non_fds` and returns the summed churn.
-    pub fn invert_batch(&mut self, non_fds: &mut Vec<Fd>, threads: usize) -> InvertDelta {
-        self.invert_batch_inner(non_fds, threads, None)
-    }
-
-    /// [`PCover::invert_batch`] with cooperative cancellation: each shard
-    /// checks `token` between non-FDs and stops early once it is cancelled.
-    /// Non-FDs not yet processed are left in `non_fds` (most specialized
-    /// first), so the caller can decide between finishing the drain later
-    /// (restoring soundness w.r.t. all sampled pairs) and abandoning it.
-    /// With a never-cancelled token this is byte-identical to
-    /// [`PCover::invert_batch`].
-    pub fn invert_batch_cancellable(
+    /// Each shard checks `budget`'s token between non-FDs and polls its clock
+    /// every [`POLL_STRIDE`] non-FDs. On a trip the shards stop, the non-FDs
+    /// not yet processed are left in `non_fds` (most specialized first within
+    /// each RHS), and the trip is returned: the caller decides between
+    /// finishing the drain later (restoring soundness w.r.t. all sampled
+    /// pairs) and abandoning it. Without a trip `non_fds` is drained. Under
+    /// [`Budget::unlimited`] no shard ever stops early.
+    ///
+    /// Returns the summed churn and the trip, if there was one.
+    pub fn invert_batch(
         &mut self,
         non_fds: &mut Vec<Fd>,
         threads: usize,
-        token: &CancelToken,
-    ) -> InvertDelta {
-        self.invert_batch_inner(non_fds, threads, Some(token))
-    }
-
-    fn invert_batch_inner(
-        &mut self,
-        non_fds: &mut Vec<Fd>,
-        threads: usize,
-        token: Option<&CancelToken>,
-    ) -> InvertDelta {
+        budget: &Budget,
+    ) -> (InvertDelta, Option<Termination>) {
         let n = self.n_attrs();
         // Stable sort: within one RHS, equal-length non-FDs keep arrival
         // order, exactly like the sequential sort-then-drain loop.
@@ -286,15 +264,14 @@ impl PCover {
                 let rhs = rhs as AttrId;
                 let mut job = InversionJob::new(tree, n, rhs);
                 let mut job_delta = InvertDelta::default();
-                let mut unprocessed = Vec::new();
-                for lhs in work {
-                    if token.is_some_and(|t| t.is_cancelled()) {
-                        unprocessed.push(lhs);
-                        continue;
+                for (done, lhs) in work.iter().enumerate() {
+                    let poll = done.is_multiple_of(POLL_STRIDE as usize);
+                    if budget.token().is_cancelled() || (poll && budget.poll_time().is_some()) {
+                        return (rhs, job_delta, work[done..].to_vec());
                     }
-                    job_delta += job.invert(&lhs);
+                    job_delta += job.invert(lhs);
                 }
-                (rhs, job_delta, unprocessed)
+                (rhs, job_delta, Vec::new())
             },
             |(rhs, job_delta, unprocessed)| {
                 delta += job_delta;
@@ -302,16 +279,18 @@ impl PCover {
             },
         );
         self.len = self.len + delta.added - delta.removed;
-        delta
+        let trip = if non_fds.is_empty() { None } else { budget.token().reason() };
+        (delta, trip)
     }
 
     /// Discards the RHS-`rhs` tree and re-derives it from scratch: the most
     /// general candidate `∅` is re-seeded and every non-FD LHS in `non_fds`
-    /// is inverted, most specialized first (exactly the [`PCover::invert`]
-    /// order). This is the revival step of incremental maintenance after
-    /// deletes: candidates killed by since-dead evidence reappear, bottom-up
-    /// minimal, because the rebuilt tree is the exact complement of the
-    /// surviving non-FDs (Algorithm 3 is deterministic in the inputs).
+    /// is inverted, most specialized first (exactly the
+    /// [`PCover::invert_batch`] order). This is the revival step of
+    /// incremental maintenance after deletes: candidates killed by
+    /// since-dead evidence reappear, bottom-up minimal, because the rebuilt
+    /// tree is the exact complement of the surviving non-FDs (Algorithm 3 is
+    /// deterministic in the inputs).
     ///
     /// Returns the number of *revived* candidates — LHSs present in the
     /// rebuilt tree that were not candidates before the call.
@@ -349,13 +328,19 @@ impl PCover {
         self.per_rhs[fd.rhs as usize].find_subset_of(&fd.lhs) == Some(fd.lhs)
     }
 
+    /// Invokes `f` on every current candidate, RHS by RHS (unspecified LHS
+    /// order within one RHS).
+    pub fn for_each(&self, mut f: impl FnMut(Fd)) {
+        for (rhs, tree) in self.per_rhs.iter().enumerate() {
+            tree.for_each(|lhs| f(Fd::new(lhs, rhs as AttrId)));
+        }
+    }
+
     /// Extracts the final FD set. Candidates `∅ → A` are kept — they assert
     /// that column `A` is constant, expressed as the most general FD.
     pub fn to_fdset(&self) -> FdSet {
         let mut fds = Vec::with_capacity(self.len);
-        for (rhs, tree) in self.per_rhs.iter().enumerate() {
-            tree.for_each(|lhs| fds.push(Fd::new(lhs, rhs as AttrId)));
-        }
+        self.for_each(|fd| fds.push(fd));
         fds.into_iter().collect()
     }
 }
@@ -371,9 +356,8 @@ impl PCover {
 const INVERSION_COST_UNITS: u64 = 2048;
 
 /// One per-RHS inversion job: a run of non-FDs `X ↛ rhs` inverted into the
-/// RHS tree, in the order given. [`PCover::invert`] is a job of one non-FD,
-/// each per-RHS shard of [`PCover::invert_batch`] is one job, and so is
-/// [`PCover::rebuild_rhs`].
+/// RHS tree, in the order given. Each per-RHS shard of
+/// [`PCover::invert_batch`] is one job, and so is [`PCover::rebuild_rhs`].
 ///
 /// The job owns the [`ExtensionIndex`] that answers its covered-extension
 /// queries. It is built from the tree at the first general that uses it, kept
@@ -539,19 +523,11 @@ impl ExtensionIndex {
 }
 
 /// Builds the positive cover implied by a set of non-FDs: initializes the
-/// most general candidates and inverts every non-FD (Algorithm 3 main loop).
-/// This is the whole of Fdep's second half and the final step of AID-FD.
+/// most general candidates and inverts every non-FD (Algorithm 3 main loop)
+/// in one unbudgeted, single-threaded [`PCover::invert_batch`].
 pub fn invert_ncover(ncover: &NCover) -> PCover {
-    invert_ncover_parallel(ncover, 1)
-}
-
-/// [`invert_ncover`] with the per-RHS inversion work fanned out over up to
-/// `threads` scoped worker threads (see [`PCover::invert_batch`]). The
-/// result is identical for every thread count.
-pub fn invert_ncover_parallel(ncover: &NCover, threads: usize) -> PCover {
     let mut pcover = PCover::initialized(ncover.n_attrs());
-    let mut non_fds = ncover.to_fds();
-    pcover.invert_batch(&mut non_fds, threads);
+    pcover.invert_batch(&mut ncover.to_fds(), 1, &Budget::unlimited());
     pcover
 }
 
@@ -561,6 +537,11 @@ mod tests {
 
     fn s(bits: &[u16]) -> AttrSet {
         AttrSet::from_attrs(bits.iter().copied())
+    }
+
+    /// Inverts one non-FD: a batch of one under an unlimited budget.
+    fn invert_one(pc: &mut PCover, non_fd: Fd) -> InvertDelta {
+        pc.invert_batch(&mut vec![non_fd], 1, &Budget::unlimited()).0
     }
 
     #[test]
@@ -605,16 +586,16 @@ mod tests {
         let mut pc = PCover::initialized(5);
         // Restrict to RHS N for the walkthrough: other RHS trees untouched.
         // (a) invert MBG ↛ N: ∅→N removed, A→N created.
-        let d = pc.invert(Fd::new(s(&[4, 2, 3]), 0));
+        let d = invert_one(&mut pc, Fd::new(s(&[4, 2, 3]), 0));
         assert_eq!(d.removed, 1);
         assert!(pc.contains(&Fd::new(s(&[1]), 0)));
         // (b) invert AG ↛ N: A→N replaced by AB→N and AM→N.
-        pc.invert(Fd::new(s(&[1, 3]), 0));
+        invert_one(&mut pc, Fd::new(s(&[1, 3]), 0));
         assert!(!pc.contains(&Fd::new(s(&[1]), 0)));
         assert!(pc.contains(&Fd::new(s(&[1, 2]), 0)));
         assert!(pc.contains(&Fd::new(s(&[1, 4]), 0)));
         // (c) invert AMB ↛ N: both replaced by ABG→N and AMG→N.
-        pc.invert(Fd::new(s(&[1, 4, 2]), 0));
+        invert_one(&mut pc, Fd::new(s(&[1, 4, 2]), 0));
         assert!(!pc.contains(&Fd::new(s(&[1, 2]), 0)));
         assert!(!pc.contains(&Fd::new(s(&[1, 4]), 0)));
         assert!(pc.contains(&Fd::new(s(&[1, 2, 3]), 0)));
@@ -656,21 +637,22 @@ mod tests {
     }
 
     #[test]
-    fn cancellable_inversion_with_live_token_matches_plain() {
+    fn inversion_under_a_live_budget_matches_unlimited() {
         let mut nc = NCover::new(6);
         for mask in [0b0011u16, 0b0110, 0b1100, 0b1010, 0b10001, 0b11000] {
             nc.add_agree_set(AttrSet::from_attrs((0..6u16).filter(|a| mask & (1 << a) != 0)));
         }
         let mut plain = PCover::initialized(6);
         let mut fds = nc.to_fds();
-        plain.invert_batch(&mut fds, 2);
-        let mut cancellable = PCover::initialized(6);
+        plain.invert_batch(&mut fds, 2, &Budget::unlimited());
+        let mut budgeted = PCover::initialized(6);
         let mut fds2 = nc.to_fds();
-        let token = crate::budget::CancelToken::new();
-        let delta = cancellable.invert_batch_cancellable(&mut fds2, 2, &token);
-        assert!(fds2.is_empty(), "uncancelled run drains everything");
-        assert_eq!(plain.to_fdset(), cancellable.to_fdset());
-        assert_eq!(plain.len(), cancellable.len());
+        let live = Budget::with_deadline(std::time::Duration::from_secs(3600));
+        let (delta, trip) = budgeted.invert_batch(&mut fds2, 2, &live);
+        assert_eq!(trip, None);
+        assert!(fds2.is_empty(), "a budget that never trips drains everything");
+        assert_eq!(plain.to_fdset(), budgeted.to_fdset());
+        assert_eq!(plain.len(), budgeted.len());
         assert!(delta.churn() > 0);
     }
 
@@ -682,16 +664,47 @@ mod tests {
         let mut pc = PCover::initialized(4);
         let mut fds = nc.to_fds();
         let expected = fds.len();
-        let token = crate::budget::CancelToken::new();
-        token.cancel();
-        let delta = pc.invert_batch_cancellable(&mut fds, 1, &token);
+        let budget = Budget::unlimited();
+        budget.token().cancel();
+        let (delta, trip) = pc.invert_batch(&mut fds, 1, &budget);
         // Nothing was processed; every non-FD survives for a later drain and
         // the cover is untouched (still the most general candidates).
+        assert_eq!(trip, Some(Termination::Cancelled));
         assert_eq!(fds.len(), expected);
         assert_eq!(delta, InvertDelta::default());
         assert_eq!(pc.len(), 4);
         // Finishing the drain afterwards converges to the exact cover.
-        pc.invert_batch(&mut fds, 1);
+        pc.invert_batch(&mut fds, 1, &Budget::unlimited());
+        assert_eq!(pc.to_fdset(), invert_ncover(&nc).to_fdset());
+    }
+
+    #[test]
+    fn a_past_deadline_stops_every_shard_within_one_poll_stride() {
+        // Every 5-subset of 12 attributes as an agree set: each RHS keeps
+        // the C(11, 5) = 462 subsets without it, several strides per shard.
+        let n = 12u16;
+        let mut nc = NCover::new(n as usize);
+        for mask in 0u32..1 << n {
+            if mask.count_ones() == 5 {
+                nc.add_agree_set(AttrSet::from_attrs((0..n).filter(|a| mask & (1 << a) != 0)));
+            }
+        }
+        let mut fds = nc.to_fds();
+        let per_rhs = |fds: &[Fd], rhs: AttrId| fds.iter().filter(|fd| fd.rhs == rhs).count();
+        let before: Vec<usize> = (0..n).map(|rhs| per_rhs(&fds, rhs)).collect();
+        assert!(before.iter().all(|&c| c > 2 * POLL_STRIDE as usize));
+        let mut pc = PCover::initialized(n as usize);
+        let past = Budget::with_deadline(std::time::Duration::ZERO);
+        let (_, trip) = pc.invert_batch(&mut fds, 2, &past);
+        assert_eq!(trip, Some(Termination::DeadlineExceeded));
+        for rhs in 0..n {
+            let done = before[rhs as usize] - per_rhs(&fds, rhs);
+            assert!(done <= POLL_STRIDE as usize, "rhs {rhs} ran {done} non-FDs past the deadline");
+        }
+        // Finishing the drain converges to the exact cover.
+        let (_, trip) = pc.invert_batch(&mut fds, 2, &Budget::unlimited());
+        assert_eq!(trip, None);
+        assert!(fds.is_empty());
         assert_eq!(pc.to_fdset(), invert_ncover(&nc).to_fdset());
     }
 

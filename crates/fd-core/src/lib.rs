@@ -39,13 +39,10 @@ pub mod closure;
 pub mod cover;
 pub mod error;
 pub mod fd;
-pub mod fd_tree;
 pub mod hash;
-pub mod index;
 pub mod isolate;
 pub mod lhs_tree;
 pub mod metrics;
-pub mod naive;
 pub mod parallel;
 
 pub use agree_table::AgreeSetTable;
@@ -53,13 +50,10 @@ pub use attrset::{AttrId, AttrSet, ATTR_WORDS, MAX_ATTRS};
 pub use budget::{Budget, CancelToken, Termination, Watchdog};
 pub use error::DiscoveryError;
 pub use closure::{bcnf_violations, candidate_keys, closure, equivalent, implies, non_redundant_cover};
-pub use cover::{invert_ncover, invert_ncover_parallel, ExtensionIndex, InvertDelta, NCover, PCover};
+pub use cover::{invert_ncover, ExtensionIndex, InvertDelta, NCover, PCover};
 pub use fd::{Fd, FdSet};
-pub use fd_tree::FdTree;
 pub use hash::{FastHashMap, FastHashSet, FxHasher};
-pub use index::FdIndex;
 pub use isolate::{is_transient_panic, isolate};
 pub use lhs_tree::LhsTree;
 pub use metrics::Accuracy;
-pub use naive::NaiveLhsStore;
 pub use parallel::{available_cores, clamp_threads, decide, fan_out_stealing, StealStats};

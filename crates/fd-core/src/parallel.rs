@@ -47,7 +47,7 @@
 //! |---------------------|---------------------------------------|---------------------|
 //! | `pair_compare`      | `RowMajor` batch compares             | ≥ 1024 tuple pairs  |
 //! | `sampling_clusters` | `sampling_clusters_parallel`          | one attribute       |
-//! | `cover_invert`      | `PCover::invert_batch*`               | one RHS tree's work |
+//! | `cover_invert`      | `PCover::invert_batch`                | one RHS tree's work |
 //! | `tane_products`     | Tane's per-level `generate_products`  | candidate chunk     |
 //! | `agree_sets`        | `AgreeSetCollector::collect`          | cluster chunk       |
 //!

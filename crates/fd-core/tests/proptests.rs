@@ -2,11 +2,19 @@
 //! stores against the linear-scan [`NaiveLhsStore`] oracle and checking the
 //! algebraic laws the covers rely on.
 
+mod naive;
+
 use fd_core::{
-    invert_ncover, AgreeSetTable, AttrId, AttrSet, ExtensionIndex, FastHashSet, Fd, FdSet, FdTree,
-    InvertDelta, LhsTree, NCover, NaiveLhsStore, PCover, MAX_ATTRS,
+    invert_ncover, AgreeSetTable, AttrId, AttrSet, Budget, ExtensionIndex, FastHashSet, Fd, FdSet,
+    InvertDelta, LhsTree, NCover, PCover, MAX_ATTRS,
 };
+use naive::NaiveLhsStore;
 use proptest::prelude::*;
+
+/// Inverts one non-FD: a batch of one under an unlimited budget.
+fn invert_one(pc: &mut PCover, non_fd: Fd) -> InvertDelta {
+    pc.invert_batch(&mut vec![non_fd], 1, &Budget::unlimited()).0
+}
 
 /// Attribute sets over a small universe so subset relations are common.
 fn attr_set(max_attr: u16) -> impl Strategy<Value = AttrSet> {
@@ -79,39 +87,6 @@ proptest! {
         a.sort();
         b.sort();
         prop_assert_eq!(a, b);
-    }
-
-    /// The FD-tree's generalization queries agree with a brute-force scan.
-    #[test]
-    fn fd_tree_generalizations_match_brute_force(
-        entries in prop::collection::vec((attr_set(8), 0..8u16), 1..40),
-        queries in prop::collection::vec((attr_set(8), 0..8u16), 1..15),
-    ) {
-        let mut tree = FdTree::new(8);
-        let mut plain: Vec<(AttrSet, AttrId)> = Vec::new();
-        for (lhs, rhs) in &entries {
-            if tree.add(*lhs, *rhs) {
-                plain.push((*lhs, *rhs));
-            }
-        }
-        prop_assert_eq!(tree.len(), plain.len());
-        for (lhs, rhs) in &queries {
-            let expect = plain.iter().any(|(l, r)| r == rhs && l.is_subset_of(lhs));
-            prop_assert_eq!(tree.contains_generalization(lhs, *rhs), expect);
-        }
-        // Removing generalizations leaves exactly the non-generalizations.
-        if let Some((lhs, rhs)) = queries.first() {
-            let mut removed = tree.remove_generalizations(lhs, *rhs);
-            removed.sort();
-            let mut expect: Vec<AttrSet> = plain
-                .iter()
-                .filter(|(l, r)| r == rhs && l.is_subset_of(lhs))
-                .map(|(l, _)| *l)
-                .collect();
-            expect.sort();
-            prop_assert_eq!(removed, expect);
-            prop_assert!(!tree.contains_generalization(lhs, *rhs));
-        }
     }
 
     /// NCover invariant: stored non-FDs are pairwise incomparable (maximal),
@@ -194,9 +169,9 @@ proptest! {
             let j = (state >> 33) as usize % (i + 1);
             fds.swap(i, j);
         }
-        let mut pc = fd_core::PCover::initialized(5);
+        let mut pc = PCover::initialized(5);
         for fd in fds {
-            pc.invert(fd);
+            invert_one(&mut pc, fd);
         }
         prop_assert_eq!(pc.to_fdset(), baseline);
     }
@@ -282,18 +257,6 @@ proptest! {
             }
         }
     }
-
-    /// The FdIndex's transitive queries agree with closures.
-    #[test]
-    fn fd_index_matches_closure(fds in fd_set(6), from in attr_set(6)) {
-        use fd_core::closure::closure;
-        use fd_core::FdIndex;
-        let idx = FdIndex::new(6, fds.clone());
-        prop_assert_eq!(
-            idx.determined_by(&from),
-            closure(&from, &fds).difference(&from)
-        );
-    }
 }
 
 proptest! {
@@ -308,24 +271,24 @@ proptest! {
         for agree in &agrees {
             nc.add_agree_set(*agree);
         }
-        let baseline = fd_core::invert_ncover(&nc);
-        // Churn oracle: the single-FD invert loop in sorted order.
-        let mut pc = fd_core::PCover::initialized(8);
+        let baseline = invert_ncover(&nc);
+        // Churn oracle: one non-FD at a time in sorted order.
+        let mut pc = PCover::initialized(8);
         let mut non_fds = nc.to_fds();
         non_fds.sort_by_key(|fd| std::cmp::Reverse(fd.lhs.len()));
-        let mut expect_delta = fd_core::InvertDelta::default();
+        let mut expect_delta = InvertDelta::default();
         for fd in non_fds {
-            expect_delta += pc.invert(fd);
+            expect_delta += invert_one(&mut pc, fd);
         }
         prop_assert_eq!(pc.to_fdset(), baseline.to_fdset());
-        for threads in [1usize, 2, 3, 4, 7, 8] {
-            let parallel = fd_core::invert_ncover_parallel(&nc, threads);
-            prop_assert_eq!(parallel.to_fdset(), baseline.to_fdset(), "threads={}", threads);
-            prop_assert_eq!(parallel.len(), baseline.len(), "threads={}", threads);
-            let mut pc = fd_core::PCover::initialized(8);
+        for threads in [1usize, 2, 4] {
+            let mut pc = PCover::initialized(8);
             let mut batch = nc.to_fds();
-            let delta = pc.invert_batch(&mut batch, threads);
+            let (delta, trip) = pc.invert_batch(&mut batch, threads, &Budget::unlimited());
+            prop_assert_eq!(pc.to_fdset(), baseline.to_fdset(), "threads={}", threads);
+            prop_assert_eq!(pc.len(), baseline.len(), "threads={}", threads);
             prop_assert_eq!(delta, expect_delta, "threads={}", threads);
+            prop_assert_eq!(trip, None, "threads={}", threads);
             prop_assert!(batch.is_empty(), "invert_batch drains its input");
         }
     }
@@ -509,7 +472,7 @@ proptest! {
         for threads in [1usize, 2] {
             let mut pc = PCover::initialized(WIDE);
             let mut batch = nc.to_fds();
-            let delta = pc.invert_batch(&mut batch, threads);
+            let (delta, _) = pc.invert_batch(&mut batch, threads, &Budget::unlimited());
             prop_assert_eq!(pc.to_fdset(), expect.clone(), "threads={}", threads);
             prop_assert_eq!(delta, expect_delta, "threads={}", threads);
         }
@@ -517,7 +480,7 @@ proptest! {
         let mut pc = PCover::initialized(WIDE);
         let mut delta = InvertDelta::default();
         for fd in &sorted {
-            delta += pc.invert(*fd);
+            delta += invert_one(&mut pc, *fd);
         }
         prop_assert_eq!(pc.to_fdset(), expect.clone());
         prop_assert_eq!(delta, expect_delta);

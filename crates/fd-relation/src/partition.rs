@@ -26,12 +26,8 @@
 //! the PLI cache (see [`crate::pli_cache`]) relies on.
 
 use crate::relation::{Relation, RowId};
+use fd_core::budget::POLL_STRIDE;
 use fd_core::{AttrId, Budget, FastHashSet, Termination};
-
-/// Budget polling stride inside the partition product, matching the
-/// `POLL_STRIDE` convention of the budgeted Tane traversal: the clock and
-/// cancel token are consulted every this many probe clusters.
-pub const POLL_STRIDE: u32 = 64;
 
 /// A (possibly stripped) partition in flat CSR form: `rows` holds the
 /// covered row ids cluster by cluster, `offsets[i]..offsets[i+1]` delimits

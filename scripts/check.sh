@@ -91,6 +91,19 @@ cargo test -q -p fd-core --test proptests blocked_extensions_match_per_attribute
 cargo test -q -p fd-core --test proptests extension_index_matches_per_attribute_probes
 cargo test -q -p fd-core --lib cover::tests::a_job_whose_non_fds_remove_nothing_builds_no_index
 cargo test -q -p fd-core --test proptests wide_inversion_matches_textbook_algorithm_3
+# One-inversion gate: `PCover::invert_batch` is the only batch inversion. It
+# matches one non-FD at a time at 1, 2 and 4 threads; under a budget that
+# never trips it equals an unlimited run; a cancelled token or a past
+# deadline stops every shard within one poll stride and leaves the rest for
+# a drain that converges to the exact cover. HyFD inverts through it: it
+# stays exact where witnesses appear on three levels, and a trip returns
+# exactly the exact FDs below some level.
+cargo test -q -p fd-core --test proptests parallel_inversion_matches_sequential
+cargo test -q -p fd-core --lib cover::tests::inversion_under_a_live_budget_matches_unlimited
+cargo test -q -p fd-core --lib cover::tests::precancelled_inversion_keeps_all_work
+cargo test -q -p fd-core --lib cover::tests::a_past_deadline_stops_every_shard_within_one_poll_stride
+cargo test -q -p fd-baselines --lib hyfd::tests::hyfd_is_exact_on_generated_data
+cargo test -q -p fd-baselines --lib hyfd::tests::a_trip_returns_every_exact_fd_below_some_level
 # Serving-layer gate: repeat reads share one cached, pre-rendered result and
 # a per-version keys memo; a waited job leaves the job table, unclaimed ones
 # are capped, and every blocked waiter still gets its result. The two
