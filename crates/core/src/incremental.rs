@@ -17,9 +17,9 @@
 //!   machinery. Inserts are monotone: existing candidates only specialize.
 //! * **Delete path** — evidence can die. Agree sets whose support reaches
 //!   zero (and `∅ ↛ a` seeds of columns that became constant) mark their
-//!   RHS *affected*; each affected RHS tree is rebuilt from the surviving
-//!   support keys and re-inverted bottom-up, reviving minimal FDs that the
-//!   dead evidence had invalidated.
+//!   RHS *affected*; each affected RHS's non-FDs are rebuilt from the
+//!   surviving support keys and its candidates re-inverted bottom-up,
+//!   reviving minimal FDs that the dead evidence had invalidated.
 //!
 //! **Cost.** A delta costs one linear pass per column (compacting the
 //! relation and the engine's row-major mirror, gathering the delta rows'
@@ -94,7 +94,7 @@ pub struct DeltaStats {
     pub dead_agree_sets: usize,
     /// Total agree sets first observed by a delta.
     pub fresh_agree_sets: usize,
-    /// Total RHS tree rebuilds.
+    /// Total per-RHS rebuilds.
     pub rhs_rebuilt: usize,
     /// Total candidates revived.
     pub candidates_revived: usize,

@@ -10,8 +10,9 @@
 //! single-threaded; parallel collection is an extension, off by default.
 
 use crate::fdep::seed_empty_lhs_non_fds;
+use fd_core::budget::POLL_STRIDE;
 use fd_core::{AttrSet, Budget, FastHashSet, NCover, Termination};
-use fd_relation::{sampling_clusters, Relation, RowId};
+use fd_relation::{sampling_clusters, Relation, RowId, RowMajor};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Configuration for agree-set collection.
@@ -39,9 +40,9 @@ impl AgreeSetCollector {
     /// The budget's pair cap is checked against the relation's total
     /// intra-cluster pair count before anything is compared: a collection
     /// that would exceed it returns `(None, PairBudget)` without doing any
-    /// work. Otherwise the budget is polled per cluster, and a trip
-    /// mid-collection returns the cover built from the clusters processed so
-    /// far. **Caution:** a truncated cover is sound only w.r.t. the pairs
+    /// work. Otherwise the budget is polled every [`POLL_STRIDE`] pairs, and
+    /// a trip mid-collection returns the cover built from the pairs compared
+    /// so far. **Caution:** a truncated cover is sound only w.r.t. the pairs
     /// processed — difference sets derived from it are incomplete, so
     /// downstream cover searches must not treat their output as validated
     /// FDs of the full instance.
@@ -70,11 +71,6 @@ impl AgreeSetCollector {
         // per collection, it turns every agree set into a contiguous scan
         // the bit-packed kernel handles word-wide.
         let row_major = relation.row_major();
-        // Every chunk polls the budget once per cluster against one shared
-        // counter of distinct agree sets held (the pair cap was settled
-        // above). At one worker it is exactly the size of the one dedup set;
-        // across workers it sums their local sets — the sets actually
-        // resident — so the cover cap bounds memory at every thread count.
         // The first trip cancels the token, which stops the sibling chunks
         // too.
         let distinct_held = AtomicUsize::new(0);
@@ -86,22 +82,7 @@ impl AgreeSetCollector {
             // Chunks are cut by pair count: cluster sizes are heavily skewed
             // and pairs grow quadratically.
             fd_core::parallel::chunks(&clusters, workers, 1, |c| pairs_in(c)),
-            |chunk| {
-                let mut seen: FastHashSet<AttrSet> = FastHashSet::default();
-                for cluster in chunk {
-                    if let Some(t) = budget.poll(0, distinct_held.load(Ordering::Relaxed)) {
-                        return (seen, Some(t));
-                    }
-                    let held = seen.len();
-                    for i in 0..cluster.len() {
-                        for j in i + 1..cluster.len() {
-                            seen.insert(row_major.agree_set(cluster[i], cluster[j]));
-                        }
-                    }
-                    distinct_held.fetch_add(seen.len() - held, Ordering::Relaxed);
-                }
-                (seen, None)
-            },
+            |chunk| collect_chunk(chunk, &row_major, budget, &distinct_held),
             |(seen, chunk_trip)| {
                 if distinct.is_empty() {
                     distinct = seen;
@@ -118,6 +99,45 @@ impl AgreeSetCollector {
         }
         (Some(ncover), tripped.unwrap_or_default())
     }
+}
+
+/// The distinct agree sets of every pair in `chunk`'s clusters, and the
+/// trip if the budget stopped the chunk early.
+///
+/// The budget is polled every [`POLL_STRIDE`] pairs, inside a cluster as
+/// well as across clusters, against `distinct_held`: the shared count of
+/// distinct agree sets resident in all chunks (the pair cap is settled
+/// before any chunk runs). Each poll first publishes the sets this chunk
+/// added since the last one. At one worker the count is exactly the size of
+/// the one dedup set; across workers it sums their local sets, so the cover
+/// cap bounds memory at every thread count.
+fn collect_chunk(
+    chunk: &[Vec<RowId>],
+    row_major: &RowMajor,
+    budget: &Budget,
+    distinct_held: &AtomicUsize,
+) -> (FastHashSet<AttrSet>, Option<Termination>) {
+    let mut seen: FastHashSet<AttrSet> = FastHashSet::default();
+    let mut published = 0;
+    let mut pairs = 0u64;
+    for cluster in chunk {
+        for i in 0..cluster.len() {
+            for j in i + 1..cluster.len() {
+                if pairs.is_multiple_of(POLL_STRIDE.into()) {
+                    let added = seen.len() - published;
+                    published = seen.len();
+                    let held = distinct_held.fetch_add(added, Ordering::Relaxed) + added;
+                    if let Some(t) = budget.poll(0, held) {
+                        return (seen, Some(t));
+                    }
+                }
+                pairs += 1;
+                seen.insert(row_major.agree_set(cluster[i], cluster[j]));
+            }
+        }
+    }
+    distinct_held.fetch_add(seen.len() - published, Ordering::Relaxed);
+    (seen, None)
 }
 
 fn pairs_in(cluster: &[RowId]) -> u64 {
@@ -206,6 +226,43 @@ mod tests {
             let (_, t) = collector.collect(&r, &Budget::unlimited().pair_cap(total / 100));
             assert_eq!(t, Termination::PairBudget, "pair cap at threads={threads}");
         }
+    }
+
+    #[test]
+    fn a_cover_cap_stops_a_large_cluster_within_one_poll_stride() {
+        // One constant column puts all 200 rows in one cluster of 19 900
+        // pairs; ten pseudo-random binary columns give its pairs hundreds
+        // of distinct agree sets.
+        let columns: Vec<String> = (0..11).map(|c| format!("c{c}")).collect();
+        let mut builder = fd_relation::RelationBuilder::new("one-cluster", columns);
+        let mut state = 7u64;
+        for _ in 0..200 {
+            let mut row = vec!["k".to_string()];
+            for _ in 0..10 {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                row.push(((state >> 40) & 1).to_string());
+            }
+            builder.push_row(&row);
+        }
+        let r = builder.finish();
+        let cluster: Vec<RowId> = (0..200).collect();
+        let chunk = [cluster];
+        let row_major = r.row_major();
+        let unlimited = Budget::unlimited();
+        let (all, t) = collect_chunk(&chunk, &row_major, &unlimited, &AtomicUsize::new(0));
+        assert_eq!(t, None);
+        let stride = POLL_STRIDE as usize;
+        let cap = 2 * stride;
+        assert!(all.len() > cap + stride, "only {} distinct agree sets", all.len());
+        // The cap trips at the first poll past it. A poll falls every
+        // stride of pairs, and a pair adds at most one distinct set, so the
+        // chunk holds at most one stride more than the cap when it stops.
+        let held = AtomicUsize::new(0);
+        let (seen, t) =
+            collect_chunk(&chunk, &row_major, &Budget::unlimited().cover_cap(cap), &held);
+        assert_eq!(t, Some(Termination::MemoryBudget));
+        assert!(seen.len() > cap && seen.len() <= cap + stride, "held {}", seen.len());
+        assert_eq!(held.load(Ordering::Relaxed), seen.len());
     }
 
     #[test]

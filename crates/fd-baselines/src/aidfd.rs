@@ -10,6 +10,7 @@
 //! exactly what EulerFD's MLFQ and double-cycle structure address.
 
 use crate::fdep::seed_empty_lhs_non_fds;
+use fd_core::budget::POLL_STRIDE;
 use fd_core::{AgreeSetTable, Budget, FdSet, NCover, PCover, Termination};
 use fd_relation::{sampling_clusters, FdAlgorithm, Relation};
 
@@ -55,7 +56,8 @@ impl AidFd {
     }
 
     /// The sampling rounds and the final inversion. The budget is polled
-    /// once per round and by the inversion. Any trip returns the empty set:
+    /// every [`POLL_STRIDE`] pairs and by the inversion, so a trip stops the
+    /// sampling within one stride of pairs. Any trip returns the empty set:
     /// a cover inverted half-way would claim FDs that its own sampled pairs
     /// refute, and after a sampling trip the budget's token is already
     /// cancelled, so the inversion could not run anyway.
@@ -73,11 +75,7 @@ impl AidFd {
         let mut termination = Termination::Converged;
 
         let mut window = 1usize;
-        loop {
-            if let Some(t) = budget.poll(stats.pairs_compared, ncover.len()) {
-                termination = t;
-                break;
-            }
+        'rounds: loop {
             let size_before = ncover.len();
             let adds_before = ncover.insertions();
             let mut any_pair = false;
@@ -87,6 +85,12 @@ impl AidFd {
                 }
                 any_pair = true;
                 for i in 0..cluster.len() - window {
+                    if stats.pairs_compared.is_multiple_of(POLL_STRIDE.into()) {
+                        if let Some(t) = budget.poll(stats.pairs_compared, ncover.len()) {
+                            termination = t;
+                            break 'rounds;
+                        }
+                    }
                     let agree = row_major.agree_set(cluster[i], cluster[i + window]);
                     stats.pairs_compared += 1;
                     if seen_agree.insert(agree) {
@@ -183,6 +187,24 @@ mod tests {
         assert!(acc.f1 > 0.8, "F1 too low: {acc:?}");
         assert!(stats.rounds >= 1);
         assert!(stats.pairs_compared > 0);
+    }
+
+    #[test]
+    fn a_pair_cap_stops_sampling_within_one_poll_stride() {
+        // The first round alone compares more pairs than the cap plus a
+        // stride, so a once-per-round poll would overshoot the cap by far.
+        let r = fd_relation::synth::dataset_spec("abalone").unwrap().generate(2000);
+        let first_round: u64 = sampling_clusters(&r).iter().map(|c| c.len() as u64 - 1).sum();
+        let stride = u64::from(POLL_STRIDE);
+        let cap = 15 * stride;
+        assert!(first_round > cap + stride, "round 1 has only {first_round} pairs");
+        let (fds, stats, t) =
+            AidFd::default().sample_and_invert(&r, &Budget::unlimited().pair_cap(cap));
+        assert_eq!(t, Termination::PairBudget);
+        assert!(fds.is_empty(), "a sampling trip inverts nothing");
+        // The polls at 0, 64, …, 960 pairs pass and the one at 1 024 trips:
+        // no pair is compared after it.
+        assert_eq!(stats.pairs_compared, cap + stride);
     }
 
     #[test]

@@ -64,8 +64,7 @@ impl FdAlgorithm for DepMiner {
                 continue;
             }
             let complements: Vec<AttrSet> = ncover
-                .tree(rhs)
-                .to_vec()
+                .lhss(rhs)
                 .into_iter()
                 .map(|agree| full.difference(&agree).without(rhs))
                 .collect();

@@ -72,8 +72,7 @@ impl FdAlgorithm for FastFds {
             }
             // Minimal difference sets = complements of maximal agree sets.
             let diff_sets: Vec<AttrSet> = ncover
-                .tree(rhs)
-                .to_vec()
+                .lhss(rhs)
                 .into_iter()
                 .map(|agree| full.difference(&agree).without(rhs))
                 .collect();

@@ -10,5 +10,5 @@ fn main() {
     let options =
         AblationOptions { dataset, rows: ((32_000.0 * common.scale) as usize).max(500) };
     let table = run(&options);
-    emit("Ablation: EulerFD design choices", "ablation", &table);
+    emit("Ablation: EulerFD design choices", "ablation", &table, common.scale);
 }

@@ -10,7 +10,8 @@ fn main() {
     if !common.only.is_empty() {
         options.datasets = common.only;
     }
-    emit("Table IV: MLFQ capa ranges", "table4_mlfq_ranges", &table4(&options.queue_counts));
+    let t4 = table4(&options.queue_counts);
+    emit("Table IV: MLFQ capa ranges", "table4_mlfq_ranges", &t4, common.scale);
     let table = run(&options);
-    emit("Figure 10: MLFQ parameter evaluation", "fig10_mlfq", &table);
+    emit("Figure 10: MLFQ parameter evaluation", "fig10_mlfq", &table, common.scale);
 }

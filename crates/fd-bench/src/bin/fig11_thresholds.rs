@@ -11,5 +11,5 @@ fn main() {
         options.datasets = common.only;
     }
     let table = run(&options);
-    emit("Figure 11: threshold evaluation", "fig11_thresholds", &table);
+    emit("Figure 11: threshold evaluation", "fig11_thresholds", &table, common.scale);
 }

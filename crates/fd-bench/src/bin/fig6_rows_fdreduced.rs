@@ -9,6 +9,6 @@ fn main() {
     let max_rows = ((40_000.0 * common.scale) as usize).max(500);
     let options = RowSweepOptions::figure6(max_rows);
     let table = run(&options);
-    emit("Figure 6: row scalability on fd-reduced-30", "fig6_rows_fdreduced", &table);
+    emit("Figure 6: row scalability on fd-reduced-30", "fig6_rows_fdreduced", &table, common.scale);
     emit_runtime_chart(&table, "rows");
 }

@@ -9,6 +9,6 @@ fn main() {
     let max_rows = ((64_000.0 * common.scale) as usize).max(1000);
     let options = RowSweepOptions::figure7(max_rows);
     let table = run(&options);
-    emit("Figure 7: row scalability on lineitem", "fig7_rows_lineitem", &table);
+    emit("Figure 7: row scalability on lineitem", "fig7_rows_lineitem", &table, common.scale);
     emit_runtime_chart(&table, "rows");
 }

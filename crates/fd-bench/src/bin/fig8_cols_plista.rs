@@ -8,6 +8,6 @@ fn main() {
     let mut options = ColSweepOptions::figure8();
     options.rows = ((options.rows as f64 * common.scale) as usize).max(100);
     let table = run(&options);
-    emit("Figure 8: column scalability on plista", "fig8_cols_plista", &table);
+    emit("Figure 8: column scalability on plista", "fig8_cols_plista", &table, common.scale);
     emit_runtime_chart(&table, "columns");
 }

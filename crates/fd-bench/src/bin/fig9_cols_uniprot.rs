@@ -8,6 +8,6 @@ fn main() {
     let mut options = ColSweepOptions::figure9();
     options.rows = ((options.rows as f64 * common.scale) as usize).max(100);
     let table = run(&options);
-    emit("Figure 9: column scalability on uniprot", "fig9_cols_uniprot", &table);
+    emit("Figure 9: column scalability on uniprot", "fig9_cols_uniprot", &table, common.scale);
     emit_runtime_chart(&table, "columns");
 }

@@ -15,5 +15,5 @@ fn main() {
         [single] => format!("table3_{single}"),
         _ => "table3".to_string(),
     };
-    emit("Table III: overall performance", &name, &table);
+    emit("Table III: overall performance", &name, &table, common.scale);
 }

@@ -11,5 +11,5 @@ fn main() {
     fleet.max_rows = ((fleet.max_rows as f64 * common.scale) as usize).max(100);
     let options = DmsOptions { fleet };
     let table = run(&options);
-    emit("Table V: DMS fleet performance (τe / τa)", "table5_dms", &table);
+    emit("Table V: DMS fleet performance (τe / τa)", "table5_dms", &table, common.scale);
 }

@@ -71,11 +71,12 @@ pub fn emit_runtime_chart(table: &crate::table::Table, x_label: &str) {
     println!("{}", crate::chart::render(&series, &options));
 }
 
-/// Prints a rendered table and persists its CSV under `results/`.
-pub fn emit(title: &str, name: &str, table: &crate::table::Table) {
+/// Prints a rendered table and persists its CSV in the results directory
+/// of a run at `scale` ([`crate::table::results_dir_for`]).
+pub fn emit(title: &str, name: &str, table: &crate::table::Table, scale: f64) {
     println!("== {title} ==");
     println!("{}", table.render());
-    match table.save_csv(name) {
+    match table.save_csv(name, scale) {
         Ok(path) => println!("[saved {}]", path.display()),
         Err(e) => eprintln!("[warn] could not save {name}.csv: {e}"),
     }

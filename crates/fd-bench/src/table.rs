@@ -104,11 +104,10 @@ impl Table {
         out
     }
 
-    /// Writes the CSV form to `results/<name>.csv` (creating the directory),
-    /// resolving `results/` relative to the workspace root when run via
-    /// cargo. Returns the written path.
-    pub fn save_csv(&self, name: &str) -> io::Result<PathBuf> {
-        let dir = results_dir();
+    /// Writes the CSV form to `<name>.csv` in [`results_dir_for`]`(scale)`
+    /// (creating the directory) and returns the written path.
+    pub fn save_csv(&self, name: &str, scale: f64) -> io::Result<PathBuf> {
+        let dir = results_dir_for(scale);
         fs::create_dir_all(&dir)?;
         let path = dir.join(format!("{name}.csv"));
         fs::write(&path, self.to_csv())?;
@@ -116,16 +115,28 @@ impl Table {
     }
 }
 
-/// The `results/` directory at the workspace root (falls back to CWD).
-pub fn results_dir() -> PathBuf {
-    // CARGO_MANIFEST_DIR = <root>/crates/fd-bench at compile time of this
-    // crate; results live two levels up.
+/// The workspace root: `CARGO_MANIFEST_DIR` is `<root>/crates/fd-bench` at
+/// compile time of this crate (falls back to CWD).
+fn workspace_root() -> PathBuf {
     let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
-    manifest
-        .parent()
-        .and_then(Path::parent)
-        .map(|root| root.join("results"))
-        .unwrap_or_else(|| PathBuf::from("results"))
+    manifest.parent().and_then(Path::parent).map_or_else(|| PathBuf::from("."), Path::to_path_buf)
+}
+
+/// The committed `results/` directory at the workspace root, which holds
+/// the full-scale tables.
+pub fn results_dir() -> PathBuf {
+    workspace_root().join("results")
+}
+
+/// Where the tables of a run at `scale` are saved: [`results_dir`] at full
+/// scale, and `target/results-scale-<scale>/` otherwise, so a `--quick` or
+/// `--scale` run never overwrites the committed full-scale tables.
+pub fn results_dir_for(scale: f64) -> PathBuf {
+    if scale == 1.0 {
+        results_dir()
+    } else {
+        workspace_root().join("target").join(format!("results-scale-{scale}"))
+    }
 }
 
 #[cfg(test)]
@@ -169,5 +180,17 @@ mod tests {
         let d = results_dir();
         assert!(d.ends_with("results"));
         assert!(d.parent().unwrap().join("Cargo.toml").exists());
+    }
+
+    #[test]
+    fn only_full_scale_tables_go_to_the_committed_results() {
+        assert_eq!(results_dir_for(1.0), results_dir());
+        let root = results_dir().parent().unwrap().to_path_buf();
+        for scale in [0.1, 0.5, 2.0] {
+            let d = results_dir_for(scale);
+            assert!(d.starts_with(root.join("target")), "{scale}: {}", d.display());
+            assert!(!d.starts_with(results_dir()), "{scale}: {}", d.display());
+        }
+        assert_ne!(results_dir_for(0.1), results_dir_for(0.5));
     }
 }

@@ -1,24 +1,35 @@
-//! Negative and positive covers (Definition 5) backed by per-RHS
-//! [`LhsTree`]s, plus the generic Ncover → Pcover inversion of Algorithm 3.
+//! Negative and positive covers (Definition 5), plus the generic Ncover →
+//! Pcover inversion of Algorithm 3.
 //!
-//! These containers are shared by every induction-style algorithm in the
-//! workspace (EulerFD, AID-FD, Fdep, HyFD): the algorithms differ in *how*
-//! they obtain non-FDs, not in how covers are stored and inverted.
+//! The negative cover stores each non-FD LHS once with a mask of its RHSs
+//! (`non_fd_tree`); the positive cover keeps one [`LhsTree`] of
+//! candidate LHSs per RHS. These containers are shared by every
+//! induction-style algorithm in the workspace (EulerFD, AID-FD, Fdep, HyFD):
+//! the algorithms differ in *how* they obtain non-FDs, not in how covers are
+//! stored and inverted.
 
-use crate::attrset::{AttrId, AttrSet};
+use crate::attrset::{AttrId, AttrSet, MAX_ATTRS};
 use crate::budget::{Budget, Termination, POLL_STRIDE};
 use crate::fd::{Fd, FdSet};
 use crate::hash::FastHashMap;
 use crate::lhs_tree::LhsTree;
+use crate::non_fd_tree::NonFdTree;
 
 /// The negative cover: for each RHS attribute, the set of **maximal**
 /// non-FD LHSs observed so far. Maximality is maintained incrementally —
 /// inserting a non-FD drops every stored generalization of it, and a non-FD
 /// that already has a stored specialization is ignored (Lemma 1 makes both
 /// redundant).
+///
+/// Each LHS is stored once, with the mask of the RHSs it is a maximal
+/// non-FD for, so the non-FDs `S ↛ a` of one agree set fold together: one
+/// walk finds the RHSs a stored specialization already covers, one clears
+/// the rest from the masks of stored generalizations, and one inserts `S`
+/// with that rest as its mask.
 #[derive(Clone, Debug)]
 pub struct NCover {
-    per_rhs: Vec<LhsTree>,
+    tree: NonFdTree,
+    n_attrs: usize,
     len: usize,
     insertions: usize,
 }
@@ -26,12 +37,12 @@ pub struct NCover {
 impl NCover {
     /// An empty negative cover over an `n_attrs`-column schema.
     pub fn new(n_attrs: usize) -> Self {
-        NCover { per_rhs: (0..n_attrs).map(|_| LhsTree::new()).collect(), len: 0, insertions: 0 }
+        NCover { tree: NonFdTree::new(), n_attrs, len: 0, insertions: 0 }
     }
 
     /// Number of attributes in the schema.
     pub fn n_attrs(&self) -> usize {
-        self.per_rhs.len()
+        self.n_attrs
     }
 
     /// Number of maximal non-FDs currently stored.
@@ -48,16 +59,21 @@ impl NCover {
     /// Returns true if the cover changed, i.e. the non-FD was not already
     /// implied by a stored specialization.
     pub fn add(&mut self, non_fd: Fd) -> bool {
-        let tree = &mut self.per_rhs[non_fd.rhs as usize];
-        if tree.contains_superset_of(&non_fd.lhs) {
-            return false;
+        !self.fold(non_fd.lhs, AttrSet::single(non_fd.rhs)).is_empty()
+    }
+
+    /// Adds `lhs ↛ a` for every `a ∈ rhss` and returns the RHSs actually
+    /// inserted: those no stored specialization of `lhs` covers. Each
+    /// inserted non-FD first drops its stored generalizations.
+    fn fold(&mut self, lhs: AttrSet, rhss: AttrSet) -> AttrSet {
+        let fresh = self.tree.uncovered(&lhs, &rhss);
+        if !fresh.is_empty() {
+            self.len -= self.tree.clear_below(&lhs, &fresh);
+            self.tree.insert(lhs, fresh);
+            self.len += fresh.len();
+            self.insertions += fresh.len();
         }
-        let removed = tree.remove_subsets_of(&non_fd.lhs);
-        self.len -= removed.len();
-        tree.insert(non_fd.lhs);
-        self.len += 1;
-        self.insertions += 1;
-        true
+        fresh
     }
 
     /// Total successful insertions over the cover's lifetime. Absorptions of
@@ -72,69 +88,60 @@ impl NCover {
     /// `a ∉ S` yields the non-FD `S ↛ a`. Returns the number of cover
     /// insertions performed.
     pub fn add_agree_set(&mut self, agree: AttrSet) -> usize {
-        self.add_agree_set_with(agree, |_| {})
+        self.fold(agree, AttrSet::full(self.n_attrs).difference(&agree)).len()
     }
 
     /// Like [`NCover::add_agree_set`], but also appends each non-FD that was
-    /// actually inserted to `inserted` — exactly the set an incremental
-    /// inversion needs to process (non-FDs absorbed by an existing
-    /// specialization change nothing downstream).
+    /// actually inserted to `inserted`, RHS ascending — exactly the set an
+    /// incremental inversion needs to process (non-FDs absorbed by an
+    /// existing specialization change nothing downstream).
     pub fn add_agree_set_collect(&mut self, agree: AttrSet, inserted: &mut Vec<Fd>) -> usize {
-        self.add_agree_set_with(agree, |non_fd| inserted.push(non_fd))
-    }
-
-    /// The body of both agree-set entry points: adds `S ↛ a` for every
-    /// `a ∉ S` and hands each non-FD actually inserted to `on_insert`.
-    fn add_agree_set_with(&mut self, agree: AttrSet, mut on_insert: impl FnMut(Fd)) -> usize {
-        let n = self.n_attrs();
-        let mut added = 0;
-        for a in 0..n {
-            let a = a as AttrId;
-            if agree.contains(a) {
-                continue;
-            }
-            let non_fd = Fd::new(agree, a);
-            if self.add(non_fd) {
-                on_insert(non_fd);
-                added += 1;
-            }
-        }
-        added
+        let fresh = self.fold(agree, AttrSet::full(self.n_attrs).difference(&agree));
+        inserted.extend(fresh.iter().map(|rhs| Fd::new(agree, rhs)));
+        fresh.len()
     }
 
     /// True if `fd` is invalidated by the cover: some stored non-FD
     /// `Y ↛ fd.rhs` has `fd.lhs ⊆ Y` (Lemma 1).
     pub fn invalidates(&self, fd: &Fd) -> bool {
-        self.per_rhs[fd.rhs as usize].contains_superset_of(&fd.lhs)
+        self.tree.uncovered(&fd.lhs, &AttrSet::single(fd.rhs)).is_empty()
     }
 
     /// All stored maximal non-FDs.
     pub fn to_fds(&self) -> Vec<Fd> {
         let mut out = Vec::with_capacity(self.len);
-        for (rhs, tree) in self.per_rhs.iter().enumerate() {
-            tree.for_each(|lhs| out.push(Fd::new(lhs, rhs as AttrId)));
-        }
+        self.tree.for_each(|lhs, rhss| out.extend(rhss.iter().map(|rhs| Fd::new(lhs, rhs))));
         out
     }
 
-    /// The per-RHS tree (used by verification tooling).
-    pub fn tree(&self, rhs: AttrId) -> &LhsTree {
-        &self.per_rhs[rhs as usize]
+    /// The maximal non-FD LHSs of one RHS (unspecified order): the
+    /// per-RHS view the agree-set baselines derive difference sets from.
+    pub fn lhss(&self, rhs: AttrId) -> Vec<AttrSet> {
+        let mut out = Vec::new();
+        self.tree.for_each_lhs_of(rhs, |lhs| out.push(lhs));
+        out
     }
 
-    /// Discards the RHS-`rhs` tree and rebuilds it from `lhss`, keeping only
-    /// the maximal sets among them (insertion-order independent: maximality
-    /// absorption commutes). The delete path of incremental maintenance uses
-    /// this — dead evidence cannot be "subtracted" from a maximal-set store,
-    /// but the surviving agree sets reconstruct the tree exactly. Successful
-    /// re-insertions count toward [`NCover::insertions`] like any others.
+    /// Discards the non-FDs of RHS `rhs` and rebuilds them from `lhss`,
+    /// keeping only the maximal sets among them (insertion-order
+    /// independent: maximality absorption commutes). The delete path of
+    /// incremental maintenance uses this — dead evidence cannot be
+    /// "subtracted" from a maximal-set store, but the surviving agree sets
+    /// reconstruct the RHS exactly. Successful re-insertions count toward
+    /// [`NCover::insertions`] like any others.
+    ///
+    /// The maximal sets are found in a cover of RHS `rhs` alone, whose tree
+    /// is as small as that RHS's share, and only they enter the shared tree.
     pub fn rebuild_rhs(&mut self, rhs: AttrId, lhss: impl IntoIterator<Item = AttrSet>) {
-        let tree = &mut self.per_rhs[rhs as usize];
-        self.len -= tree.len();
-        *tree = LhsTree::new();
+        let only = AttrSet::single(rhs);
+        let mut rebuilt = NCover::new(self.n_attrs);
         for lhs in lhss {
-            self.add(Fd::new(lhs, rhs));
+            rebuilt.fold(lhs, only);
         }
+        self.len -= self.tree.clear_below(&AttrSet::full(MAX_ATTRS), &only);
+        rebuilt.tree.for_each(|lhs, _| self.tree.insert(lhs, only));
+        self.len += rebuilt.len;
+        self.insertions += rebuilt.insertions;
     }
 }
 
@@ -720,13 +727,17 @@ mod tests {
         let mut oracle = NCover::new(4);
         oracle.add_agree_set(s(&[0, 1]));
         oracle.add_agree_set(s(&[1, 2]));
-        assert_eq!(nc.tree(3).to_vec(), oracle.tree(3).to_vec());
-        // Other RHS trees untouched; len bookkeeping consistent.
-        let total: usize = (0..4).map(|a| nc.tree(a).len()).sum();
+        let sorted = |mut lhss: Vec<AttrSet>| {
+            lhss.sort();
+            lhss
+        };
+        assert_eq!(sorted(nc.lhss(3)), sorted(oracle.lhss(3)));
+        // Other RHSs untouched; len bookkeeping consistent.
+        let total: usize = (0..4).map(|a| nc.lhss(a).len()).sum();
         assert_eq!(nc.len(), total);
         // Absorption still applies during a rebuild.
         nc.rebuild_rhs(3, [s(&[0]), s(&[0, 1])]);
-        assert_eq!(nc.tree(3).to_vec(), vec![s(&[0, 1])]);
+        assert_eq!(nc.lhss(3), vec![s(&[0, 1])]);
     }
 
     #[test]

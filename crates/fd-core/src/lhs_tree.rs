@@ -1,10 +1,12 @@
 //! Extended binary tree over LHS attribute sets.
 //!
 //! This is the cover data structure of Section IV-D (proposed originally for
-//! AID-FD): one tree per RHS attribute stores the LHSs of the stored
-//! FDs/non-FDs. Inner nodes split on whether an attribute is contained in an
-//! LHS — sets containing the split attribute live in the `with` subtree, the
-//! rest in the `without` subtree — and leaves hold one LHS each. Every inner
+//! AID-FD): one tree per RHS attribute stores the LHSs of the FD candidates
+//! of a [`crate::PCover`], and FastFDs keeps its minimal covers in one. (The
+//! negative cover stores each non-FD LHS once with an RHS mask instead, in
+//! `non_fd_tree`.) Inner nodes split on whether an attribute is contained in
+//! an LHS — sets containing the split attribute live in the `with` subtree,
+//! the rest in the `without` subtree — and leaves hold one LHS each. Every inner
 //! node caches the **intersection of all LHSs stored beneath it**, which
 //! prunes generalization searches early: if that intersection is not a subset
 //! of the queried set, no descendant can be either (every stored set is a
@@ -16,9 +18,8 @@
 //! (horse, plista, flight — covers of 10⁵–10⁶ entries).
 //!
 //! Terminology used throughout, matching the paper:
-//! * a stored set `S` is a *generalization* of query `Q` iff `S ⊆ Q`
-//!   (non-strict — `X ↛ A` invalidates `Y → A` for every `Y ⊆ X`);
-//! * a stored set `S` is a *specialization* of query `Q` iff `S ⊇ Q`.
+//! a stored set `S` is a *generalization* of query `Q` iff `S ⊆ Q`
+//! (non-strict — `X ↛ A` invalidates `Y → A` for every `Y ⊆ X`).
 
 use crate::attrset::{AttrId, AttrSet};
 
@@ -51,10 +52,9 @@ enum Node {
 /// tree.insert(AttrSet::from_attrs([1u16, 2]));
 /// tree.insert(AttrSet::from_attrs([3u16]));
 ///
-/// // {1,2} generalizes {1,2,4}; {3} does not.
+/// // {1,2} generalizes {1,2,4}; nothing generalizes {2}.
 /// assert!(tree.contains_subset_of(&AttrSet::from_attrs([1u16, 2, 4])));
-/// // {1,2} specializes {2}.
-/// assert!(tree.contains_superset_of(&AttrSet::from_attrs([2u16])));
+/// assert!(!tree.contains_subset_of(&AttrSet::from_attrs([2u16])));
 ///
 /// // Stripping generalizations of {1,2,3} removes both stored sets.
 /// let removed = tree.remove_subsets_of(&AttrSet::from_attrs([1u16, 2, 3]));
@@ -298,93 +298,8 @@ impl LhsTree {
         }
     }
 
-    /// True if some stored set is a superset of `query` (a *specialization*).
-    pub fn contains_superset_of(&self, query: &AttrSet) -> bool {
-        self.contains_superset_from(self.root, query)
-    }
-
-    fn contains_superset_from(&self, id: NodeId, query: &AttrSet) -> bool {
-        if id == NIL {
-            return false;
-        }
-        match &self.nodes[id as usize] {
-            Node::Leaf(s) => query.is_subset_of(s),
-            Node::Inner { attr, intersection, without, with } => {
-                // Shortcut: if the query is below the subtree intersection,
-                // every stored set here is a superset.
-                if query.is_subset_of(intersection) {
-                    return true;
-                }
-                if self.contains_superset_from(*with, query) {
-                    return true;
-                }
-                // Sets lacking `attr` can only cover queries lacking it.
-                !query.contains(*attr) && self.contains_superset_from(*without, query)
-            }
-            Node::Free(_) => unreachable!("live traversal reached a free slot"),
-        }
-    }
-
-    /// Collects all stored subsets of `query` without removing them.
-    pub fn collect_subsets_of(&self, query: &AttrSet) -> Vec<AttrSet> {
-        let mut out = Vec::new();
-        self.collect_subsets_from(self.root, query, &mut out);
-        out
-    }
-
-    fn collect_subsets_from(&self, id: NodeId, query: &AttrSet, out: &mut Vec<AttrSet>) {
-        if id == NIL {
-            return;
-        }
-        match &self.nodes[id as usize] {
-            Node::Leaf(s) => {
-                if s.is_subset_of(query) {
-                    out.push(*s);
-                }
-            }
-            Node::Inner { attr, intersection, without, with } => {
-                if !intersection.is_subset_of(query) {
-                    return;
-                }
-                self.collect_subsets_from(*without, query, out);
-                if query.contains(*attr) {
-                    self.collect_subsets_from(*with, query, out);
-                }
-            }
-            Node::Free(_) => unreachable!("live traversal reached a free slot"),
-        }
-    }
-
-    /// Collects all stored supersets of `query` without removing them.
-    pub fn collect_supersets_of(&self, query: &AttrSet) -> Vec<AttrSet> {
-        let mut out = Vec::new();
-        self.collect_supersets_from(self.root, query, &mut out);
-        out
-    }
-
-    fn collect_supersets_from(&self, id: NodeId, query: &AttrSet, out: &mut Vec<AttrSet>) {
-        if id == NIL {
-            return;
-        }
-        match &self.nodes[id as usize] {
-            Node::Leaf(s) => {
-                if query.is_subset_of(s) {
-                    out.push(*s);
-                }
-            }
-            Node::Inner { attr, without, with, .. } => {
-                self.collect_supersets_from(*with, query, out);
-                if !query.contains(*attr) {
-                    self.collect_supersets_from(*without, query, out);
-                }
-            }
-            Node::Free(_) => unreachable!("live traversal reached a free slot"),
-        }
-    }
-
     /// Removes every stored subset of `query` and returns them. Used by the
-    /// inversion module to strip invalidated generalizations from the Pcover
-    /// and by the Ncover to keep only maximal non-FDs.
+    /// inversion module to strip invalidated generalizations from the Pcover.
     pub fn remove_subsets_of(&mut self, query: &AttrSet) -> Vec<AttrSet> {
         let mut removed = Vec::new();
         self.root = self.remove_subsets_from(self.root, query, &mut removed);
@@ -532,32 +447,6 @@ mod tests {
         AttrSet::from_attrs(bits.iter().copied())
     }
 
-    /// Replays the paper's Figure 4 construction for RHS `N`:
-    /// non-FDs AMB, MBG, BG, AG (attribute ids: N=0, A=1, B=2, G=3, M=4).
-    #[test]
-    fn figure_4_ncover_construction() {
-        let amb = s(&[1, 4, 2]);
-        let mbg = s(&[4, 2, 3]);
-        let bg = s(&[2, 3]);
-        let ag = s(&[1, 3]);
-
-        let mut tree = LhsTree::new();
-        assert!(tree.insert(amb)); // Fig 4(a)
-        assert!(tree.insert(mbg)); // Fig 4(b)
-        // BG is specialized by MBG, so Algorithm 2 discards it.
-        assert!(tree.contains_superset_of(&bg));
-        // AG has no specialization stored; add it (Fig 4(c)).
-        assert!(!tree.contains_superset_of(&ag));
-        assert!(tree.insert(ag));
-        assert_eq!(tree.len(), 3);
-
-        let mut all = tree.to_vec();
-        all.sort();
-        let mut expect = vec![amb, mbg, ag];
-        expect.sort();
-        assert_eq!(all, expect);
-    }
-
     #[test]
     fn insert_dedupes() {
         let mut tree = LhsTree::new();
@@ -571,11 +460,8 @@ mod tests {
         let mut tree = LhsTree::new();
         tree.insert(s(&[1, 2]));
         assert!(tree.contains_subset_of(&s(&[1, 2])));
-        assert!(tree.contains_superset_of(&s(&[1, 2])));
         assert!(tree.contains_subset_of(&s(&[1, 2, 3])));
         assert!(!tree.contains_subset_of(&s(&[1, 3])));
-        assert!(tree.contains_superset_of(&s(&[2])));
-        assert!(!tree.contains_superset_of(&s(&[2, 3])));
     }
 
     #[test]
@@ -584,8 +470,6 @@ mod tests {
         tree.insert(AttrSet::empty());
         assert!(tree.contains_subset_of(&s(&[9])));
         assert!(tree.contains_subset_of(&AttrSet::empty()));
-        assert!(tree.contains_superset_of(&AttrSet::empty()));
-        assert!(!tree.contains_superset_of(&s(&[9])));
     }
 
     #[test]
@@ -620,18 +504,6 @@ mod tests {
         // A drained tree accepts new inserts.
         assert!(tree.insert(s(&[5])));
         assert_eq!(tree.len(), 1);
-    }
-
-    #[test]
-    fn collect_supersets_finds_all_specializations() {
-        let mut tree = LhsTree::new();
-        for lhs in [s(&[1, 2]), s(&[1, 2, 3]), s(&[2, 3]), s(&[4])] {
-            tree.insert(lhs);
-        }
-        let mut sup = tree.collect_supersets_of(&s(&[2]));
-        sup.sort();
-        assert_eq!(sup.len(), 3);
-        assert!(sup.contains(&s(&[1, 2])) && sup.contains(&s(&[1, 2, 3])) && sup.contains(&s(&[2, 3])));
     }
 
     /// Returns the intersection of the leaves beneath `id`, asserting that

@@ -43,6 +43,7 @@ pub mod hash;
 pub mod isolate;
 pub mod lhs_tree;
 pub mod metrics;
+mod non_fd_tree;
 pub mod parallel;
 
 pub use agree_table::AgreeSetTable;

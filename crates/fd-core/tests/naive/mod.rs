@@ -1,10 +1,10 @@
 //! Linear-scan cover implementation used as a correctness oracle.
 //!
-//! [`NaiveLhsStore`] implements the same contract as [`fd_core::LhsTree`] —
-//! a set of LHS attribute sets for one fixed RHS, queried for subset
-//! ("generalization") and superset ("specialization") relationships — with
-//! obviously-correct `O(n)` scans. Property tests pit the tree against this
-//! store on random operation sequences.
+//! [`NaiveLhsStore`] is a set of LHS attribute sets for one fixed RHS,
+//! queried for subset ("generalization") and superset ("specialization")
+//! relationships with obviously-correct `O(n)` scans. Property tests pit
+//! [`fd_core::LhsTree`] against it on random operation sequences, and one
+//! store per RHS is the textbook model of [`fd_core::NCover`].
 
 use fd_core::AttrSet;
 
@@ -65,11 +65,6 @@ impl NaiveLhsStore {
     /// All stored subsets of `lhs`, in insertion order.
     pub fn collect_subsets_of(&self, lhs: &AttrSet) -> Vec<AttrSet> {
         self.sets.iter().filter(|s| s.is_subset_of(lhs)).copied().collect()
-    }
-
-    /// All stored supersets of `lhs`, in insertion order.
-    pub fn collect_supersets_of(&self, lhs: &AttrSet) -> Vec<AttrSet> {
-        self.sets.iter().filter(|s| lhs.is_subset_of(s)).copied().collect()
     }
 
     /// All stored sets, in insertion order.

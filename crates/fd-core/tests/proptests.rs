@@ -70,17 +70,9 @@ proptest! {
         }
         for q in &queries {
             prop_assert_eq!(tree.contains_subset_of(q), naive.contains_subset_of(q));
-            prop_assert_eq!(tree.contains_superset_of(q), naive.contains_superset_of(q));
-            let mut a = tree.collect_subsets_of(q);
-            let mut b = naive.collect_subsets_of(q);
-            a.sort();
-            b.sort();
-            prop_assert_eq!(a, b);
-            let mut a = tree.collect_supersets_of(q);
-            let mut b = naive.collect_supersets_of(q);
-            a.sort();
-            b.sort();
-            prop_assert_eq!(a, b);
+            if let Some(found) = tree.find_subset_of(q) {
+                prop_assert!(found.is_subset_of(q) && naive.iter().any(|s| *s == found));
+            }
         }
         let mut a = tree.to_vec();
         let mut b: Vec<AttrSet> = naive.iter().copied().collect();
@@ -487,7 +479,7 @@ proptest! {
 
         let mut pc = PCover::initialized(WIDE);
         for rhs in 0..WIDE as AttrId {
-            let lhss = nc.tree(rhs).to_vec();
+            let lhss = nc.lhss(rhs);
             let revived = pc.rebuild_rhs(rhs, lhss);
             // Everything but a surviving `∅` is new against the seeded cover.
             let rebuilt = &reference[rhs as usize];
@@ -496,6 +488,114 @@ proptest! {
         }
         prop_assert_eq!(pc.to_fdset(), expect);
         prop_assert_eq!(pc.len(), reference.iter().map(LhsTree::len).sum::<usize>());
+    }
+}
+
+/// Schema width of the negative-cover model: the three attribute bands of
+/// [`banded_attr_set`] end at 132.
+const BANDED: usize = 132;
+
+/// One attribute id from the bands of [`banded_attr_set`].
+fn banded_attr() -> impl Strategy<Value = AttrId> {
+    (0..24u16).prop_map(|i| (i / 8) * 62 + i % 8)
+}
+
+/// A random operation on a negative cover.
+#[derive(Clone, Debug)]
+enum CoverOp {
+    Add(AttrSet, AttrId),
+    /// An agree set, folded through `add_agree_set_collect` if the flag is
+    /// set and through `add_agree_set` otherwise.
+    AgreeSet(AttrSet, bool),
+    Rebuild(AttrId, Vec<AttrSet>),
+}
+
+/// Algorithm 2's textbook `add` on one RHS's linear-scan store: ignore a
+/// non-FD with a stored specialization, else drop its stored
+/// generalizations and insert it.
+fn textbook_add(store: &mut NaiveLhsStore, lhs: AttrSet) -> bool {
+    if store.contains_superset_of(&lhs) {
+        return false;
+    }
+    for general in store.collect_subsets_of(&lhs) {
+        store.remove(&general);
+    }
+    store.insert(lhs)
+}
+
+proptest! {
+    /// The one-tree negative cover behaves exactly like one textbook store
+    /// per RHS: the same non-FDs inserted, in the same order, the same
+    /// size and insertion count after every step, the same maximal LHSs
+    /// per RHS, and the same `invalidates` answers. Ids cross the 64- and
+    /// 128-bit word boundaries in LHSs and RHSs alike.
+    #[test]
+    fn ncover_matches_textbook_per_rhs_cover(
+        ops in prop::collection::vec(
+            prop_oneof![
+                2 => (banded_attr_set(), banded_attr())
+                    .prop_map(|(lhs, rhs)| CoverOp::Add(lhs, rhs)),
+                4 => (banded_attr_set(), 0..2u8)
+                    .prop_map(|(agree, c)| CoverOp::AgreeSet(agree, c == 1)),
+                1 => (banded_attr(), prop::collection::vec(banded_attr_set(), 0..6))
+                    .prop_map(|(rhs, lhss)| CoverOp::Rebuild(rhs, lhss)),
+            ],
+            1..60,
+        ),
+        queries in prop::collection::vec((banded_attr_set(), banded_attr()), 1..20),
+    ) {
+        let mut nc = NCover::new(BANDED);
+        let mut model: Vec<NaiveLhsStore> = (0..BANDED).map(|_| NaiveLhsStore::new()).collect();
+        let mut insertions = 0usize;
+        for op in &ops {
+            match op {
+                CoverOp::Add(lhs, rhs) => {
+                    let expect = textbook_add(&mut model[*rhs as usize], *lhs);
+                    insertions += usize::from(expect);
+                    let added = nc.add(Fd::new(*lhs, *rhs));
+                    prop_assert_eq!(added, expect, "add {:?} -> {}", lhs, rhs);
+                }
+                CoverOp::AgreeSet(agree, collect) => {
+                    let mut expect = Vec::new();
+                    for rhs in (0..BANDED as AttrId).filter(|&a| !agree.contains(a)) {
+                        if textbook_add(&mut model[rhs as usize], *agree) {
+                            expect.push(Fd::new(*agree, rhs));
+                        }
+                    }
+                    insertions += expect.len();
+                    if *collect {
+                        let mut inserted = vec![Fd::new(AttrSet::empty(), 0)];
+                        let added = nc.add_agree_set_collect(*agree, &mut inserted);
+                        prop_assert_eq!(added, expect.len());
+                        prop_assert_eq!(&inserted[1..], &expect[..], "agree set {:?}", agree);
+                    } else {
+                        prop_assert_eq!(nc.add_agree_set(*agree), expect.len());
+                    }
+                }
+                CoverOp::Rebuild(rhs, lhss) => {
+                    let store = &mut model[*rhs as usize];
+                    *store = NaiveLhsStore::new();
+                    for lhs in lhss {
+                        insertions += usize::from(textbook_add(store, *lhs));
+                    }
+                    nc.rebuild_rhs(*rhs, lhss.iter().copied());
+                }
+            }
+            prop_assert_eq!(nc.len(), model.iter().map(NaiveLhsStore::len).sum::<usize>());
+            prop_assert_eq!(nc.insertions(), insertions);
+        }
+        for (rhs, store) in model.iter().enumerate() {
+            let mut got = nc.lhss(rhs as AttrId);
+            let mut expect: Vec<AttrSet> = store.iter().copied().collect();
+            got.sort();
+            expect.sort();
+            prop_assert_eq!(got, expect, "rhs {}", rhs);
+        }
+        prop_assert_eq!(nc.to_fds().len(), nc.len());
+        for (lhs, rhs) in &queries {
+            let expect = model[*rhs as usize].contains_superset_of(lhs);
+            prop_assert_eq!(nc.invalidates(&Fd::new(*lhs, *rhs)), expect, "{:?} -> {}", lhs, rhs);
+        }
     }
 }
 

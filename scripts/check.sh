@@ -104,6 +104,16 @@ cargo test -q -p fd-core --lib cover::tests::precancelled_inversion_keeps_all_wo
 cargo test -q -p fd-core --lib cover::tests::a_past_deadline_stops_every_shard_within_one_poll_stride
 cargo test -q -p fd-baselines --lib hyfd::tests::hyfd_is_exact_on_generated_data
 cargo test -q -p fd-baselines --lib hyfd::tests::a_trip_returns_every_exact_fd_below_some_level
+# Ncover gate: the one-tree negative cover (each LHS once, with an RHS
+# mask) must match one textbook per-RHS store on random add / agree-set /
+# rebuild sequences across the 64/128-attribute word boundaries, and keep
+# every cached intersection and mask union exact. AID-FD's sampling and
+# the agree-set collector, inside one large cluster, must stop within one
+# poll stride of pairs after the poll that trips.
+cargo test -q -p fd-core --test proptests ncover_matches_textbook_per_rhs_cover
+cargo test -q -p fd-core --lib non_fd_tree::tests::cached_summaries_match_the_leaves_beneath
+cargo test -q -p fd-baselines --lib aidfd::tests::a_pair_cap_stops_sampling_within_one_poll_stride
+cargo test -q -p fd-baselines --lib agree::tests::a_cover_cap_stops_a_large_cluster_within_one_poll_stride
 # Serving-layer gate: repeat reads share one cached, pre-rendered result and
 # a per-version keys memo; a waited job leaves the job table, unclaimed ones
 # are capped, and every blocked waiter still gets its result. The two
