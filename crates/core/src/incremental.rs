@@ -17,17 +17,19 @@
 //!   machinery. Inserts are monotone: existing candidates only specialize.
 //! * **Delete path** — evidence can die. Agree sets whose support reaches
 //!   zero (and `∅ ↛ a` seeds of columns that became constant) mark their
-//!   RHS *affected*; each affected RHS's non-FDs are rebuilt from the
-//!   surviving support keys and its candidates re-inverted bottom-up,
-//!   reviving minimal FDs that the dead evidence had invalidated.
+//!   RHS *affected*. The affected RHSs' non-FDs are rebuilt together from
+//!   the surviving support keys, in one pass that folds each key once, and
+//!   each affected RHS's candidates are re-inverted bottom-up from its
+//!   rebuilt maximal non-FDs, reviving minimal FDs that the dead evidence
+//!   had invalidated.
 //!
 //! **Cost.** A delta costs one linear pass per column (compacting the
 //! relation and the engine's row-major mirror, gathering the delta rows'
 //! cluster mates, flagging non-fresh labels, testing constancy) plus one
 //! agree set per row pair that touches the delta and shares a value. No
 //! pass hashes a cell, and the mirror is patched in place; only the cold
-//! fallback transposes the table again. Rebuilding an affected RHS scans
-//! the support keys, so a delete that kills evidence costs more.
+//! fallback transposes the table again. A delete that kills evidence also
+//! scans the support keys once, to rebuild the affected RHSs.
 //!
 //! The result is byte-identical to a cold rebuild on the post-delta
 //! relation — both covers are canonical functions of the *set* of surviving
@@ -288,39 +290,35 @@ impl DeltaEngine {
 
         // ── 5. Affected RHS: every attribute outside a dead agree set lost
         // a non-FD, and every newly constant column lost its ∅ seed.
-        let mut affected = vec![false; m];
+        let all = AttrSet::full(m);
+        let mut affected = AttrSet::empty();
         for s in &dead {
-            for (a, slot) in affected.iter_mut().enumerate() {
-                if !s.contains(a as AttrId) {
-                    *slot = true;
-                }
-            }
+            affected = affected.union(&all.difference(s));
         }
         for a in 0..m {
             if new_constant[a] && !self.constant[a] {
-                affected[a] = true;
+                affected.insert(a as AttrId);
             }
         }
 
-        // ── 6. Rebuild each affected RHS from surviving evidence: the
-        // negative-cover tree from the support keys that constrain it, the
-        // positive-cover tree by re-inversion from {∅} — generalizing old
-        // candidates bottom-up is not enough, the cover is a function of
-        // the maximal surviving non-FDs only.
-        for a in 0..m {
-            if !affected[a] {
-                continue;
+        // ── 6. Rebuild the affected RHSs from surviving evidence: the
+        // negative cover in one pass over the support keys that lack some
+        // affected RHS, then each positive-cover tree by re-inversion from
+        // {∅} — generalizing old candidates bottom-up is not enough, the
+        // cover is a function of the maximal surviving non-FDs only, which
+        // is exactly what the rebuilt negative cover holds per RHS.
+        if !affected.is_empty() {
+            let mut keys: Vec<AttrSet> =
+                self.support.keys().filter(|s| !affected.is_subset_of(s)).copied().collect();
+            keys.sort_unstable();
+            let seeded: AttrSet = affected.iter().filter(|&a| !new_constant[a as usize]).collect();
+            self.ncover.rebuild(&affected, &keys, &seeded);
+            for rhs in affected.iter() {
+                let mut maximal = self.ncover.lhss(rhs);
+                maximal.sort_unstable();
+                report.candidates_revived += self.pcover.rebuild_rhs(rhs, maximal);
+                report.rhs_rebuilt += 1;
             }
-            let rhs = a as AttrId;
-            let mut survivors: Vec<AttrSet> =
-                self.support.keys().filter(|s| !s.contains(rhs)).copied().collect();
-            survivors.sort_unstable();
-            if !new_constant[a] {
-                survivors.push(AttrSet::empty());
-            }
-            self.ncover.rebuild_rhs(rhs, survivors.iter().copied());
-            report.candidates_revived += self.pcover.rebuild_rhs(rhs, survivors);
-            report.rhs_rebuilt += 1;
         }
 
         // ── 7. Fold fresh insert evidence into the remaining trees. For an

@@ -89,7 +89,7 @@ impl FdAlgorithm for FastFds {
                 &mut covers,
                 budget,
             );
-            covers.for_each(|lhs| {
+            covers.for_each(|lhs, ()| {
                 out.insert(Fd::new(lhs, rhs));
             });
             if let Some(t) = tripped {
@@ -128,7 +128,7 @@ fn search_covers(
             .iter()
             .all(|a| all.iter().any(|d| d.intersect(&current) == AttrSet::single(a)));
         if minimal && !covers.contains_subset_of(&current) {
-            covers.insert(current);
+            covers.insert(current, ());
         }
         return None;
     }

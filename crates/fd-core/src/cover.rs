@@ -1,8 +1,9 @@
 //! Negative and positive covers (Definition 5), plus the generic Ncover →
 //! Pcover inversion of Algorithm 3.
 //!
-//! The negative cover stores each non-FD LHS once with a mask of its RHSs
-//! (`non_fd_tree`); the positive cover keeps one [`LhsTree`] of
+//! Both covers live in the extended binary tree of `set_tree`. The negative
+//! cover stores each non-FD LHS once in one tree, with a mask of its RHSs;
+//! the positive cover keeps one [`LhsTree`] (the unmasked instance) of
 //! candidate LHSs per RHS. These containers are shared by every
 //! induction-style algorithm in the workspace (EulerFD, AID-FD, Fdep, HyFD):
 //! the algorithms differ in *how* they obtain non-FDs, not in how covers are
@@ -12,8 +13,7 @@ use crate::attrset::{AttrId, AttrSet, MAX_ATTRS};
 use crate::budget::{Budget, Termination, POLL_STRIDE};
 use crate::fd::{Fd, FdSet};
 use crate::hash::FastHashMap;
-use crate::lhs_tree::LhsTree;
-use crate::non_fd_tree::NonFdTree;
+use crate::set_tree::{LhsTree, SetTree};
 
 /// The negative cover: for each RHS attribute, the set of **maximal**
 /// non-FD LHSs observed so far. Maximality is maintained incrementally —
@@ -28,7 +28,7 @@ use crate::non_fd_tree::NonFdTree;
 /// with that rest as its mask.
 #[derive(Clone, Debug)]
 pub struct NCover {
-    tree: NonFdTree,
+    tree: SetTree<AttrSet>,
     n_attrs: usize,
     len: usize,
     insertions: usize,
@@ -37,7 +37,7 @@ pub struct NCover {
 impl NCover {
     /// An empty negative cover over an `n_attrs`-column schema.
     pub fn new(n_attrs: usize) -> Self {
-        NCover { tree: NonFdTree::new(), n_attrs, len: 0, insertions: 0 }
+        NCover { tree: SetTree::new(), n_attrs, len: 0, insertions: 0 }
     }
 
     /// Number of attributes in the schema.
@@ -68,12 +68,19 @@ impl NCover {
     fn fold(&mut self, lhs: AttrSet, rhss: AttrSet) -> AttrSet {
         let fresh = self.tree.uncovered(&lhs, &rhss);
         if !fresh.is_empty() {
-            self.len -= self.tree.clear_below(&lhs, &fresh);
+            self.clear_below(&lhs, &fresh);
             self.tree.insert(lhs, fresh);
             self.len += fresh.len();
             self.insertions += fresh.len();
         }
         fresh
+    }
+
+    /// Drops `rhss` from the mask of every stored subset of `lhs`.
+    fn clear_below(&mut self, lhs: &AttrSet, rhss: &AttrSet) {
+        let mut cleared = 0;
+        self.tree.clear_below(lhs, rhss, |_, taken| cleared += taken.len());
+        self.len -= cleared;
     }
 
     /// Total successful insertions over the cover's lifetime. Absorptions of
@@ -122,26 +129,23 @@ impl NCover {
         out
     }
 
-    /// Discards the non-FDs of RHS `rhs` and rebuilds them from `lhss`,
-    /// keeping only the maximal sets among them (insertion-order
-    /// independent: maximality absorption commutes). The delete path of
-    /// incremental maintenance uses this — dead evidence cannot be
-    /// "subtracted" from a maximal-set store, but the surviving agree sets
-    /// reconstruct the RHS exactly. Successful re-insertions count toward
-    /// [`NCover::insertions`] like any others.
+    /// Discards the non-FDs of every RHS in `affected` and rebuilds them
+    /// from the agree sets `keys` plus the `∅ ↛ a` seeds of `seeded`: for
+    /// each `a ∈ affected`, exactly the cover that folding every key lacking
+    /// `a`, in the order given, and then `∅` if `a ∈ seeded`, would build.
+    /// The delete path of incremental maintenance uses this — dead evidence
+    /// cannot be "subtracted" from a maximal-set store, but the surviving
+    /// agree sets reconstruct the affected RHSs exactly. Successful
+    /// re-insertions count toward [`NCover::insertions`] like any others.
     ///
-    /// The maximal sets are found in a cover of RHS `rhs` alone, whose tree
-    /// is as small as that RHS's share, and only they enter the shared tree.
-    pub fn rebuild_rhs(&mut self, rhs: AttrId, lhss: impl IntoIterator<Item = AttrSet>) {
-        let only = AttrSet::single(rhs);
-        let mut rebuilt = NCover::new(self.n_attrs);
-        for lhs in lhss {
-            rebuilt.fold(lhs, only);
+    /// The affected bits are cleared once and each key folds once, for all
+    /// the affected RHSs it lacks.
+    pub fn rebuild(&mut self, affected: &AttrSet, keys: &[AttrSet], seeded: &AttrSet) {
+        self.clear_below(&AttrSet::full(MAX_ATTRS), affected);
+        for key in keys {
+            self.fold(*key, affected.difference(key));
         }
-        self.len -= self.tree.clear_below(&AttrSet::full(MAX_ATTRS), &only);
-        rebuilt.tree.for_each(|lhs, _| self.tree.insert(lhs, only));
-        self.len += rebuilt.len;
-        self.insertions += rebuilt.insertions;
+        self.fold(AttrSet::empty(), seeded.intersect(affected));
     }
 }
 
@@ -185,7 +189,7 @@ impl PCover {
     pub fn initialized(n_attrs: usize) -> Self {
         let mut per_rhs: Vec<LhsTree> = (0..n_attrs).map(|_| LhsTree::new()).collect();
         for tree in &mut per_rhs {
-            tree.insert(AttrSet::empty());
+            tree.insert(AttrSet::empty(), ());
         }
         PCover { per_rhs, len: n_attrs }
     }
@@ -297,7 +301,9 @@ impl PCover {
     /// incremental maintenance after deletes: candidates killed by
     /// since-dead evidence reappear, bottom-up minimal, because the rebuilt
     /// tree is the exact complement of the surviving non-FDs (Algorithm 3 is
-    /// deterministic in the inputs).
+    /// deterministic in the inputs). The maximal non-FDs suffice: inverted
+    /// longest first, a non-maximal one finds every candidate below it
+    /// already removed by its superset, so it changes nothing.
     ///
     /// Returns the number of *revived* candidates — LHSs present in the
     /// rebuilt tree that were not candidates before the call.
@@ -307,7 +313,7 @@ impl PCover {
         let old: crate::hash::FastHashSet<AttrSet> = tree.to_vec().into_iter().collect();
         self.len -= tree.len();
         *tree = LhsTree::new();
-        tree.insert(AttrSet::empty());
+        tree.insert(AttrSet::empty(), ());
         non_fds.sort_by_key(|lhs| std::cmp::Reverse(lhs.len()));
         let mut job = InversionJob::new(tree, n, rhs);
         for lhs in &non_fds {
@@ -315,7 +321,7 @@ impl PCover {
         }
         self.len += tree.len();
         let mut revived = 0usize;
-        tree.for_each(|lhs| {
+        tree.for_each(|lhs, ()| {
             if !old.contains(&lhs) {
                 revived += 1;
             }
@@ -339,7 +345,7 @@ impl PCover {
     /// order within one RHS).
     pub fn for_each(&self, mut f: impl FnMut(Fd)) {
         for (rhs, tree) in self.per_rhs.iter().enumerate() {
-            tree.for_each(|lhs| f(Fd::new(lhs, rhs as AttrId)));
+            tree.for_each(|lhs, ()| f(Fd::new(lhs, rhs as AttrId)));
         }
     }
 
@@ -420,7 +426,7 @@ impl<'t> InversionJob<'t> {
         for (general, blocked) in generals.iter().zip(&blocked) {
             for attr in extensions.difference(blocked).iter() {
                 let extension = general.with(attr);
-                self.tree.insert(extension);
+                self.tree.insert(extension, ());
                 if let Some(index) = &mut self.index {
                     index.insert(&extension);
                 }
@@ -461,8 +467,8 @@ impl<'t> InversionJob<'t> {
 /// use fd_core::{AttrSet, ExtensionIndex, LhsTree};
 ///
 /// let mut tree = LhsTree::new();
-/// tree.insert(AttrSet::from_attrs([1u16, 2]));
-/// tree.insert(AttrSet::from_attrs([3u16, 4]));
+/// tree.insert(AttrSet::from_attrs([1u16, 2]), ());
+/// tree.insert(AttrSet::from_attrs([3u16, 4]), ());
 /// let index = ExtensionIndex::new(&tree);
 /// // {1,2} lies below {1} ∪ {2}; nothing lies below {1} ∪ {3}.
 /// let allowed = AttrSet::from_attrs([2u16, 3]);
@@ -477,7 +483,7 @@ impl ExtensionIndex {
     /// The index of every set stored in `tree`.
     pub fn new(tree: &LhsTree) -> Self {
         let mut index = ExtensionIndex::default();
-        tree.for_each(|stored| index.insert(&stored));
+        tree.for_each(|stored, ()| index.insert(&stored));
         index
     }
 
@@ -716,14 +722,15 @@ mod tests {
     }
 
     #[test]
-    fn ncover_rebuild_rhs_matches_a_fresh_cover() {
+    fn ncover_rebuild_matches_a_fresh_cover() {
         let mut nc = NCover::new(4);
         nc.add_agree_set(s(&[0, 1]));
         nc.add_agree_set(s(&[1, 2]));
         nc.add_agree_set(s(&[0]));
-        // Rebuild RHS 3 from the surviving evidence {0,1} and {1,2} only
-        // (evidence {0} "died"): equals a cover built from scratch.
-        nc.rebuild_rhs(3, [s(&[0, 1]), s(&[1, 2])]);
+        // Rebuild RHSs 2 and 3 from the surviving evidence {0,1} and {1,2}
+        // only (evidence {0} "died"), seeding RHS 2: equals a cover built
+        // from scratch.
+        nc.rebuild(&s(&[2, 3]), &[s(&[0, 1]), s(&[1, 2])], &s(&[2]));
         let mut oracle = NCover::new(4);
         oracle.add_agree_set(s(&[0, 1]));
         oracle.add_agree_set(s(&[1, 2]));
@@ -731,13 +738,20 @@ mod tests {
             lhss.sort();
             lhss
         };
-        assert_eq!(sorted(nc.lhss(3)), sorted(oracle.lhss(3)));
+        for rhs in [2, 3] {
+            assert_eq!(sorted(nc.lhss(rhs)), sorted(oracle.lhss(rhs)), "rhs {rhs}");
+        }
         // Other RHSs untouched; len bookkeeping consistent.
+        assert_eq!(sorted(nc.lhss(1)), vec![s(&[0])]);
         let total: usize = (0..4).map(|a| nc.lhss(a).len()).sum();
         assert_eq!(nc.len(), total);
-        // Absorption still applies during a rebuild.
-        nc.rebuild_rhs(3, [s(&[0]), s(&[0, 1])]);
-        assert_eq!(nc.lhss(3), vec![s(&[0, 1])]);
+        // Absorption still applies during a rebuild, and a seed enters only
+        // where no key lacks its RHS.
+        nc.rebuild(&s(&[2, 3]), &[s(&[0]), s(&[0, 1]), s(&[0, 1, 2])], &s(&[2, 3]));
+        assert_eq!(nc.lhss(2), vec![s(&[0, 1])]);
+        assert_eq!(nc.lhss(3), vec![s(&[0, 1, 2])]);
+        nc.rebuild(&s(&[3]), &[], &s(&[3]));
+        assert_eq!(nc.lhss(3), vec![AttrSet::empty()]);
     }
 
     #[test]
@@ -768,7 +782,7 @@ mod tests {
     fn a_job_whose_non_fds_remove_nothing_builds_no_index() {
         let mut tree = LhsTree::new();
         for lhs in [s(&[1]), s(&[2]), s(&[3]), s(&[4, 5])] {
-            tree.insert(lhs);
+            tree.insert(lhs, ());
         }
         let mut job = InversionJob::new(&mut tree, 6, 0);
         // Neither {4} nor {5} has a stored subset: nothing is removed.

@@ -41,10 +41,9 @@ pub mod error;
 pub mod fd;
 pub mod hash;
 pub mod isolate;
-pub mod lhs_tree;
 pub mod metrics;
-mod non_fd_tree;
 pub mod parallel;
+pub mod set_tree;
 
 pub use agree_table::AgreeSetTable;
 pub use attrset::{AttrId, AttrSet, ATTR_WORDS, MAX_ATTRS};
@@ -55,6 +54,6 @@ pub use cover::{invert_ncover, ExtensionIndex, InvertDelta, NCover, PCover};
 pub use fd::{Fd, FdSet};
 pub use hash::{FastHashMap, FastHashSet, FxHasher};
 pub use isolate::{is_transient_panic, isolate};
-pub use lhs_tree::LhsTree;
 pub use metrics::Accuracy;
 pub use parallel::{available_cores, clamp_threads, decide, fan_out_stealing, StealStats};
+pub use set_tree::LhsTree;

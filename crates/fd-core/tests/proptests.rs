@@ -25,15 +25,13 @@ fn attr_set(max_attr: u16) -> impl Strategy<Value = AttrSet> {
 #[derive(Clone, Debug)]
 enum Op {
     Insert(AttrSet),
-    Remove(AttrSet),
     RemoveSubsetsOf(AttrSet),
 }
 
 fn op(max_attr: u16) -> impl Strategy<Value = Op> {
     prop_oneof![
         3 => attr_set(max_attr).prop_map(Op::Insert),
-        1 => attr_set(max_attr).prop_map(Op::Remove),
-        1 => attr_set(max_attr).prop_map(Op::RemoveSubsetsOf),
+        2 => attr_set(max_attr).prop_map(Op::RemoveSubsetsOf),
     ]
 }
 
@@ -50,10 +48,7 @@ proptest! {
         for o in &ops {
             match o {
                 Op::Insert(s) => {
-                    prop_assert_eq!(tree.insert(*s), naive.insert(*s));
-                }
-                Op::Remove(s) => {
-                    prop_assert_eq!(tree.remove(s), naive.remove(s));
+                    prop_assert_eq!(tree.insert(*s, ()), naive.insert(*s));
                 }
                 Op::RemoveSubsetsOf(s) => {
                     let mut a = tree.remove_subsets_of(s);
@@ -311,7 +306,7 @@ fn textbook_invert(tree: &mut LhsTree, n_attrs: usize, rhs: AttrId, x: &AttrSet)
                 }
                 let candidate = general.with(a);
                 if !tree.contains_subset_of(&candidate) {
-                    tree.insert(candidate);
+                    tree.insert(candidate, ());
                     delta.added += 1;
                 }
             }
@@ -322,7 +317,7 @@ fn textbook_invert(tree: &mut LhsTree, n_attrs: usize, rhs: AttrId, x: &AttrSet)
 fn fdset_of(trees: &[LhsTree]) -> FdSet {
     let mut fds = FdSet::new();
     for (rhs, tree) in trees.iter().enumerate() {
-        tree.for_each(|lhs| {
+        tree.for_each(|lhs, ()| {
             fds.insert(Fd::new(lhs, rhs as AttrId));
         });
     }
@@ -344,8 +339,7 @@ proptest! {
         ops in prop::collection::vec(
             prop_oneof![
                 3 => banded_attr_set().prop_map(Op::Insert),
-                1 => banded_attr_set().prop_map(Op::Remove),
-                1 => banded_attr_set().prop_map(Op::RemoveSubsetsOf),
+                2 => banded_attr_set().prop_map(Op::RemoveSubsetsOf),
             ],
             1..80,
         ),
@@ -355,10 +349,7 @@ proptest! {
         for o in &ops {
             match o {
                 Op::Insert(s) => {
-                    tree.insert(*s);
-                }
-                Op::Remove(s) => {
-                    tree.remove(s);
+                    tree.insert(*s, ());
                 }
                 Op::RemoveSubsetsOf(s) => {
                     tree.remove_subsets_of(s);
@@ -388,8 +379,7 @@ proptest! {
         ops in prop::collection::vec(
             prop_oneof![
                 3 => banded_attr_set().prop_map(Op::Insert),
-                1 => banded_attr_set().prop_map(Op::Remove),
-                1 => banded_attr_set().prop_map(Op::RemoveSubsetsOf),
+                2 => banded_attr_set().prop_map(Op::RemoveSubsetsOf),
             ],
             0..80,
         ),
@@ -397,19 +387,14 @@ proptest! {
     ) {
         let mut tree = LhsTree::new();
         if seeded == 1 {
-            tree.insert(AttrSet::empty());
+            tree.insert(AttrSet::empty(), ());
         }
         let mut kept = ExtensionIndex::new(&tree);
         for o in &ops {
             match o {
                 Op::Insert(s) => {
-                    if tree.insert(*s) {
+                    if tree.insert(*s, ()) {
                         kept.insert(s);
-                    }
-                }
-                Op::Remove(s) => {
-                    if tree.remove(s) {
-                        kept.remove(s);
                     }
                 }
                 Op::RemoveSubsetsOf(s) => {
@@ -453,7 +438,7 @@ proptest! {
 
         let mut reference: Vec<LhsTree> = (0..WIDE).map(|_| LhsTree::new()).collect();
         for tree in &mut reference {
-            tree.insert(AttrSet::empty());
+            tree.insert(AttrSet::empty(), ());
         }
         let mut expect_delta = InvertDelta::default();
         for fd in &sorted {
@@ -491,6 +476,62 @@ proptest! {
     }
 }
 
+proptest! {
+    /// A delete rebuilds an RHS's candidates from its maximal surviving
+    /// non-FDs only: inverted longest first, a non-maximal survivor removes
+    /// nothing its superset has not already removed. Rebuilding every RHS
+    /// of a 70-attribute cover from all survivors (agree sets lacking the
+    /// RHS, sorted, then the `∅` seed) and from the maximal ones (the
+    /// rebuilt negative cover's LHSs, sorted) gives the same candidates in
+    /// the same walk order and the same revived counts.
+    #[test]
+    fn pcover_rebuild_from_maximal_survivors_matches_all_survivors(
+        disagrees in prop::collection::vec(prop::collection::vec(WINDOW, 1..12), 1..16),
+        dead in prop::collection::vec(0..16usize, 0..4),
+    ) {
+        let agrees: Vec<AttrSet> = disagrees
+            .iter()
+            .map(|d| AttrSet::full(WIDE).difference(&AttrSet::from_attrs(d.iter().copied())))
+            .collect();
+        let mut before = NCover::new(WIDE);
+        for agree in &agrees {
+            before.add_agree_set(*agree);
+        }
+        let mut keys: Vec<AttrSet> = agrees
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| !dead.contains(i))
+            .map(|(_, agree)| *agree)
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        let all_rhss = AttrSet::full(WIDE);
+        let mut after = before.clone();
+        after.rebuild(&all_rhss, &keys, &all_rhss);
+
+        let mut from_all = invert_ncover(&before);
+        let mut from_maximal = from_all.clone();
+        for rhs in 0..WIDE as AttrId {
+            let mut survivors: Vec<AttrSet> =
+                keys.iter().filter(|key| !key.contains(rhs)).copied().collect();
+            survivors.push(AttrSet::empty());
+            let mut maximal = after.lhss(rhs);
+            maximal.sort_unstable();
+            prop_assert!(maximal.len() <= survivors.len());
+            let revived_all = from_all.rebuild_rhs(rhs, survivors);
+            let revived_maximal = from_maximal.rebuild_rhs(rhs, maximal);
+            prop_assert_eq!(revived_all, revived_maximal, "rhs={}", rhs);
+        }
+        let walk = |pc: &PCover| {
+            let mut fds = Vec::new();
+            pc.for_each(|fd| fds.push(fd));
+            fds
+        };
+        prop_assert_eq!(walk(&from_all), walk(&from_maximal));
+        prop_assert_eq!(from_all.len(), from_maximal.len());
+    }
+}
+
 /// Schema width of the negative-cover model: the three attribute bands of
 /// [`banded_attr_set`] end at 132.
 const BANDED: usize = 132;
@@ -507,7 +548,8 @@ enum CoverOp {
     /// An agree set, folded through `add_agree_set_collect` if the flag is
     /// set and through `add_agree_set` otherwise.
     AgreeSet(AttrSet, bool),
-    Rebuild(AttrId, Vec<AttrSet>),
+    /// `NCover::rebuild(affected, keys, seeded)`.
+    Rebuild(AttrSet, Vec<AttrSet>, AttrSet),
 }
 
 /// Algorithm 2's textbook `add` on one RHS's linear-scan store: ignore a
@@ -537,8 +579,12 @@ proptest! {
                     .prop_map(|(lhs, rhs)| CoverOp::Add(lhs, rhs)),
                 4 => (banded_attr_set(), 0..2u8)
                     .prop_map(|(agree, c)| CoverOp::AgreeSet(agree, c == 1)),
-                1 => (banded_attr(), prop::collection::vec(banded_attr_set(), 0..6))
-                    .prop_map(|(rhs, lhss)| CoverOp::Rebuild(rhs, lhss)),
+                1 => (
+                    banded_attr_set(),
+                    prop::collection::vec(banded_attr_set(), 0..6),
+                    banded_attr_set(),
+                )
+                    .prop_map(|(affected, keys, seeded)| CoverOp::Rebuild(affected, keys, seeded)),
             ],
             1..60,
         ),
@@ -572,13 +618,18 @@ proptest! {
                         prop_assert_eq!(nc.add_agree_set(*agree), expect.len());
                     }
                 }
-                CoverOp::Rebuild(rhs, lhss) => {
-                    let store = &mut model[*rhs as usize];
-                    *store = NaiveLhsStore::new();
-                    for lhs in lhss {
-                        insertions += usize::from(textbook_add(store, *lhs));
+                CoverOp::Rebuild(affected, keys, seeded) => {
+                    for rhs in affected.iter() {
+                        let store = &mut model[rhs as usize];
+                        *store = NaiveLhsStore::new();
+                        for key in keys.iter().filter(|key| !key.contains(rhs)) {
+                            insertions += usize::from(textbook_add(store, *key));
+                        }
+                        if seeded.contains(rhs) {
+                            insertions += usize::from(textbook_add(store, AttrSet::empty()));
+                        }
                     }
-                    nc.rebuild_rhs(*rhs, lhss.iter().copied());
+                    nc.rebuild(affected, keys, seeded);
                 }
             }
             prop_assert_eq!(nc.len(), model.iter().map(NaiveLhsStore::len).sum::<usize>());
