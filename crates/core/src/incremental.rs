@@ -19,9 +19,9 @@
 //!   zero (and `∅ ↛ a` seeds of columns that became constant) mark their
 //!   RHS *affected*. The affected RHSs' non-FDs are rebuilt together from
 //!   the surviving support keys, in one pass that folds each key once, and
-//!   each affected RHS's candidates are re-inverted bottom-up from its
-//!   rebuilt maximal non-FDs, reviving minimal FDs that the dead evidence
-//!   had invalidated.
+//!   each affected RHS whose maximal non-FDs changed has its candidates
+//!   re-inverted bottom-up from them, reviving minimal FDs that the dead
+//!   evidence had invalidated.
 //!
 //! **Cost.** A delta costs one linear pass per column (compacting the
 //! relation and the engine's row-major mirror, gathering the delta rows'
@@ -74,7 +74,9 @@ pub struct DeltaReport {
     pub dead_agree_sets: usize,
     /// Agree sets observed for the first time (no prior support).
     pub fresh_agree_sets: usize,
-    /// RHS attributes whose cover trees were rebuilt from surviving evidence.
+    /// RHS attributes whose non-FDs were rebuilt from surviving evidence.
+    /// Each one's candidates are re-inverted only if its maximal non-FDs
+    /// changed.
     pub rhs_rebuilt: usize,
     /// Candidate FDs revived by the rebuilds — minimal FDs that dead
     /// evidence had previously invalidated.
@@ -306,17 +308,28 @@ impl DeltaEngine {
         // affected RHS, then each positive-cover tree by re-inversion from
         // {∅} — generalizing old candidates bottom-up is not enough, the
         // cover is a function of the maximal surviving non-FDs only, which
-        // is exactly what the rebuilt negative cover holds per RHS.
+        // is exactly what the rebuilt negative cover holds per RHS. So a
+        // tree whose maximal non-FDs came through unchanged (dead evidence
+        // that a surviving superset still implies) is already that function
+        // and keeps its candidates.
         if !affected.is_empty() {
+            let maximal_of = |ncover: &NCover, rhs| {
+                let mut maximal = ncover.lhss(rhs);
+                maximal.sort_unstable();
+                maximal
+            };
+            let before: Vec<Vec<AttrSet>> =
+                affected.iter().map(|rhs| maximal_of(&self.ncover, rhs)).collect();
             let mut keys: Vec<AttrSet> =
                 self.support.keys().filter(|s| !affected.is_subset_of(s)).copied().collect();
             keys.sort_unstable();
             let seeded: AttrSet = affected.iter().filter(|&a| !new_constant[a as usize]).collect();
             self.ncover.rebuild(&affected, &keys, &seeded);
-            for rhs in affected.iter() {
-                let mut maximal = self.ncover.lhss(rhs);
-                maximal.sort_unstable();
-                report.candidates_revived += self.pcover.rebuild_rhs(rhs, maximal);
+            for (rhs, before) in affected.iter().zip(before) {
+                let maximal = maximal_of(&self.ncover, rhs);
+                if maximal != before {
+                    report.candidates_revived += self.pcover.rebuild_rhs(rhs, maximal);
+                }
                 report.rhs_rebuilt += 1;
             }
         }
@@ -557,6 +570,29 @@ mod tests {
         assert_eq!(report.rhs_rebuilt, 1);
         assert_eq!(report.candidates_revived, 1);
         assert!(engine.fds().contains(&Fd::new(AttrSet::single(0), 1)));
+        assert_engine_exact(&engine);
+    }
+
+    #[test]
+    fn a_delete_that_leaves_the_maximal_non_fds_keeps_the_candidates() {
+        // Pairs (0,1) agree on {x,y}, pairs (0,2) and (1,2) on {x} only.
+        // Deleting row 2 kills {x}, which affects y and z; but x ↛ z was
+        // never maximal — the surviving xy ↛ z implies it — so z's maximal
+        // non-FDs come through unchanged and its candidates stay as they
+        // are, while y turns constant.
+        let r = Relation::from_encoded_columns(
+            "implied",
+            vec!["x".into(), "y".into(), "z".into()],
+            vec![vec![0, 0, 0], vec![0, 0, 1], vec![0, 1, 2]],
+        );
+        let mut engine = DeltaEngine::new(r, 1);
+        let z_before = engine.ncover.lhss(2);
+        let report = engine.apply_delta(&[], &[2]);
+        assert_eq!(report.dead_agree_sets, 1);
+        assert_eq!(report.rhs_rebuilt, 2, "y and z are affected");
+        assert_eq!(engine.ncover.lhss(2), z_before, "z's maximal non-FDs are unchanged");
+        assert_eq!(report.candidates_revived, 1, "only ∅ → y is revived");
+        assert!(engine.fds().contains(&Fd::new(AttrSet::empty(), 1)));
         assert_engine_exact(&engine);
     }
 

@@ -11,11 +11,15 @@
 //!
 //! and requeues the cluster by that capa — unless its average capa over the
 //! most recent samples dropped to 0, in which case it retires.
+//!
+//! A step's pairs are never laid out anywhere: the plan records only the
+//! cluster and its pair count, and the compare kernel reads each pair
+//! `(rows[i], rows[i + window - 1])` straight from the cluster's row list.
 
 use crate::config::EulerFdConfig;
 use crate::mlfq::{ClusterId, Mlfq};
 use fd_core::{AgreeSetTable, AttrSet, Budget, Fd, NCover, Termination};
-use fd_relation::{sampling_clusters_parallel, Relation, RowId, RowMajor};
+use fd_relation::{sampling_clusters_parallel, window_pairs, Relation, RowId, RowMajor};
 use std::collections::VecDeque;
 
 /// Counters exposed in the discovery report.
@@ -71,13 +75,14 @@ struct ClusterState {
 /// The sampling module: cluster population + MLFQ + agree-set dedup.
 ///
 /// Samples run in compare batches of three steps: **plan** (pop clusters
-/// in Algorithm 1's order and lay out each one's current window positions
-/// as a pair batch — sequential), **compare** (the data-parallel
-/// [`RowMajor`] kernel computes agree sets and pre-filters already-seen
-/// ones), and **fold** (each planned step's candidates enter the negative
-/// cover sequentially, in plan order, and requeue its cluster). One step
-/// rarely holds enough pairs to engage a second worker, so planning adds
-/// steps until the batch reaches the kernel's full-width size
+/// in Algorithm 1's order and record each one with the count of its
+/// current window positions — sequential), **compare** (the data-parallel
+/// [`RowMajor`] kernel walks each planned cluster's window in place over
+/// its row list, computes agree sets and pre-filters already-seen ones),
+/// and **fold** (each planned step's candidates enter the negative cover
+/// sequentially, in plan order, and requeue its cluster). One step rarely
+/// holds enough pairs to engage a second worker, so planning adds steps
+/// until the batch reaches the kernel's full-width size
 /// ([`RowMajor::full_width_pairs`]): at one thread that is exactly one step.
 ///
 /// Batching must not change which steps run. The initial pass samples
@@ -102,11 +107,8 @@ pub struct Sampler {
     threads: usize,
     /// Pairs at which planning stops adding steps to a compare batch.
     batch_pairs: usize,
-    /// Reused pair batch of the plan step: the planned steps' window pairs,
-    /// back to back.
-    pair_buf: Vec<(RowId, RowId)>,
-    /// The planned steps: each cluster with the end of its pairs in
-    /// `pair_buf`.
+    /// The planned steps: each cluster with the end of its pairs in the
+    /// batch, the steps' window positions counted back to back.
     plan: Vec<(ClusterId, usize)>,
     recent_window: usize,
     stats: SamplerStats,
@@ -153,7 +155,6 @@ impl Sampler {
             batch_pairs: row_major.full_width_pairs(threads),
             row_major,
             threads,
-            pair_buf: Vec::new(),
             plan: Vec::new(),
             recent_window: config.recent_window.max(1),
             stats,
@@ -185,7 +186,7 @@ impl Sampler {
             }
             // Every cluster is sampled once in id order whatever its capa,
             // so the batch is exact: no fold can change what comes next.
-            while next < n && self.pair_buf.len() < self.batch_pairs {
+            while next < n && self.planned_pairs() < self.batch_pairs {
                 self.plan_step(next);
                 next += 1;
             }
@@ -220,7 +221,7 @@ impl Sampler {
         let Some(queue) = self.mlfq.head_queue() else {
             return (0, None);
         };
-        while self.plan.len() < max_steps && self.pair_buf.len() < self.batch_pairs {
+        while self.plan.len() < max_steps && self.planned_pairs() < self.batch_pairs {
             match self.mlfq.pop_from(queue) {
                 Some(id) => self.plan_step(id),
                 None => break,
@@ -232,9 +233,13 @@ impl Sampler {
     /// Adds cluster `id`'s current window positions to the plan.
     fn plan_step(&mut self, id: ClusterId) {
         let state = &self.clusters[id as usize];
-        let window = state.window;
-        self.pair_buf.extend(state.rows.windows(window).map(|w| (w[0], w[window - 1])));
-        self.plan.push((id, self.pair_buf.len()));
+        let end = self.planned_pairs() + window_pairs(state.rows.len(), state.window);
+        self.plan.push((id, end));
+    }
+
+    /// Pairs of the steps planned so far.
+    fn planned_pairs(&self) -> usize {
+        self.plan.last().map_or(0, |&(_, end)| end)
     }
 
     /// Compares the planned steps in one kernel call, then folds up to
@@ -260,12 +265,16 @@ impl Sampler {
         // Compare: agree sets of every planned pair, minus those already in
         // `seen_agree` (a read-only snapshot here — workers never mutate
         // shared state), each tagged with its pair so it folds with the
-        // step that planned that pair.
+        // step that planned that pair. A planned cluster's window has not
+        // moved since planning: only its own fold moves it.
+        let steps = self.plan.iter().map(|&(id, _)| {
+            let state = &self.clusters[id as usize];
+            (state.rows.as_slice(), state.window)
+        });
         let (candidates, batch) =
-            self.row_major.novel_agree_sets(&self.pair_buf, &self.seen_agree, self.threads);
+            self.row_major.novel_window_agree_sets(steps, &self.seen_agree, self.threads);
         self.stats.peak_workers = self.stats.peak_workers.max(batch.workers);
-        let planned_pairs = self.pair_buf.len();
-        self.pair_buf.clear();
+        let planned_pairs = self.planned_pairs();
         let mut candidates = candidates.into_iter().peekable();
         let plan = std::mem::take(&mut self.plan);
         let mut next = 0;

@@ -353,7 +353,12 @@ impl PCover {
     /// that column `A` is constant, expressed as the most general FD.
     pub fn to_fdset(&self) -> FdSet {
         let mut fds = Vec::with_capacity(self.len);
-        self.for_each(|fd| fds.push(fd));
+        for (rhs, tree) in self.per_rhs.iter().enumerate() {
+            fds.extend(tree.leaves().map(|(lhs, ())| Fd::new(lhs, rhs as AttrId)));
+        }
+        // The candidates are distinct, so an unstable sort is exact, and the
+        // set is then built from sorted input.
+        fds.sort_unstable();
         fds.into_iter().collect()
     }
 }
@@ -616,6 +621,26 @@ mod tests {
         // Exactly those two candidates remain for RHS N.
         let n_fds: Vec<Fd> = pc.to_fdset().with_rhs(0).copied().collect();
         assert_eq!(n_fds.len(), 2);
+    }
+
+    #[test]
+    fn to_fdset_matches_the_for_each_set() {
+        // Inversions free arena slots all over each tree, so the arena scan
+        // must skip them and still see every candidate exactly once. Each
+        // agree set misses three attributes, one past the 64-bit word.
+        let mut nc = NCover::new(66);
+        for i in 0..4u16 {
+            nc.add_agree_set(AttrSet::full(66).difference(&s(&[i, i + 20, i + 62])));
+        }
+        let mut pc = invert_ncover(&nc);
+        pc.rebuild_rhs(3, nc.lhss(3));
+        let mut walked = FdSet::new();
+        pc.for_each(|fd| {
+            assert!(walked.insert(fd), "{fd:?} visited twice");
+        });
+        assert!(walked.len() > 70, "the inversion must specialize: {}", walked.len());
+        assert_eq!(walked.len(), pc.len());
+        assert_eq!(pc.to_fdset(), walked);
     }
 
     #[test]

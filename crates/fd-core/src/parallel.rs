@@ -42,10 +42,11 @@
 //! [`chunks`] cuts a slice into the items a fan-out claims: the whole slice
 //! when the batch runs inline, otherwise about [`STEAL_CHUNKS_PER_WORKER`]
 //! chunks of equal weight per worker, none lighter than the site's minimum.
+//! [`ranges`] makes the same cut of unit-weight items as index ranges.
 //!
 //! | site                | kernel                                | item                |
 //! |---------------------|---------------------------------------|---------------------|
-//! | `pair_compare`      | `RowMajor` batch compares             | ≥ 1024 tuple pairs  |
+//! | `pair_compare`      | `RowMajor` batch and window compares  | ≥ 1024 tuple pairs  |
 //! | `sampling_clusters` | `sampling_clusters_parallel`          | one attribute       |
 //! | `cover_invert`      | `PCover::invert_batch`                | one RHS tree's work |
 //! | `tane_products`     | Tane's per-level `generate_products`  | candidate chunk     |
@@ -365,13 +366,7 @@ pub fn chunks<T>(
     min_weight: u64,
     weight: impl Fn(&T) -> u64,
 ) -> impl Iterator<Item = &[T]> {
-    let share = if workers <= 1 {
-        None
-    } else {
-        let total: u64 = items.iter().map(&weight).sum();
-        let n_chunks = (workers * STEAL_CHUNKS_PER_WORKER) as u64;
-        Some(total.div_ceil(n_chunks).max(min_weight))
-    };
+    let share = chunk_share(workers, min_weight, || items.iter().map(&weight).sum());
     let mut rest = items;
     std::iter::from_fn(move || {
         if rest.is_empty() {
@@ -391,6 +386,30 @@ pub fn chunks<T>(
         let (chunk, tail) = rest.split_at(end);
         rest = tail;
         Some(chunk)
+    })
+}
+
+/// The index ranges [`chunks`] cuts a slice of `total` items of weight 1
+/// into: consecutive ranges of one fixed length covering `0..total`. A
+/// kernel whose items are not laid out in one slice — the sampler's pairs,
+/// which stay in their clusters' row lists — cuts its item indices with
+/// this and finds each range's items itself.
+pub fn ranges(
+    total: usize,
+    workers: usize,
+    min_weight: u64,
+) -> impl Iterator<Item = std::ops::Range<usize>> {
+    let share = chunk_share(workers, min_weight, || total as u64);
+    let len = share.map_or(total, |share| usize::try_from(share).unwrap_or(usize::MAX)).max(1);
+    (0..total).step_by(len).map(move |start| start..total.min(start.saturating_add(len)))
+}
+
+/// The weight a chunk of a `workers`-wide fan-out aims at, given the total
+/// weight of its items; `None` when the batch runs inline as one chunk.
+fn chunk_share(workers: usize, min_weight: u64, total: impl FnOnce() -> u64) -> Option<u64> {
+    (workers > 1).then(|| {
+        let n_chunks = (workers * STEAL_CHUNKS_PER_WORKER) as u64;
+        total().div_ceil(n_chunks).max(min_weight)
     })
 }
 
@@ -599,6 +618,22 @@ mod tests {
         }
         assert_eq!(chunks::<u32>(&[], 1, 256, |_| 1).count(), 0);
         assert_eq!(chunks::<u32>(&[], 4, 256, |_| 1).count(), 0);
+    }
+
+    #[test]
+    fn ranges_cut_where_unit_weight_chunks_cut() {
+        for total in [0usize, 1, 7, 1000, 1023, 1024, 1025, 50_000] {
+            let items: Vec<u32> = (0..total as u32).collect();
+            for workers in [1usize, 2, 3, 8] {
+                for min in [1u64, 7, 256, 1024] {
+                    let by_chunks: Vec<_> = chunks(&items, workers, min, |_| 1)
+                        .map(|c| c[0] as usize..c[0] as usize + c.len())
+                        .collect();
+                    let by_ranges: Vec<_> = ranges(total, workers, min).collect();
+                    assert_eq!(by_ranges, by_chunks, "total={total} workers={workers} min={min}");
+                }
+            }
+        }
     }
 
     #[test]

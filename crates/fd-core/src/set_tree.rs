@@ -386,6 +386,17 @@ impl<M: LeafMask> SetTree<M> {
         }
     }
 
+    /// Every leaf as `(lhs, mask)`, in arena order: one linear scan of the
+    /// node array rather than a walk through it. Removed leaves sit on the
+    /// free list, so the scan sees exactly the stored sets, but in an order
+    /// set by the tree's history; callers sort or count.
+    pub(crate) fn leaves(&self) -> impl Iterator<Item = (AttrSet, M)> + '_ {
+        self.nodes.iter().filter_map(|node| match node {
+            Node::Leaf { lhs, mask } => Some((*lhs, *mask)),
+            _ => None,
+        })
+    }
+
     /// All stored LHSs as a vector, in [`SetTree::for_each`] order.
     pub fn to_vec(&self) -> Vec<AttrSet> {
         let mut v = Vec::with_capacity(self.len);

@@ -53,8 +53,8 @@ pub use partition::{sampling_clusters, sampling_clusters_parallel, Partition, Pr
 pub use pli_cache::{sampling_clusters_cached, MemoryPressure, PliCache, PliCacheStats};
 pub use profile::{profile, ColumnProfile, RelationProfile};
 pub use relation::{
-    agree_of_rows, packed_agree_of_rows, BatchStats, NullLabeling, Relation, RelationBuilder,
-    RowId, RowMajor, FRESH_LABEL_HEADROOM,
+    agree_of_rows, packed_agree_of_rows, window_pairs, BatchStats, NullLabeling, Relation,
+    RelationBuilder, RowId, RowMajor, FRESH_LABEL_HEADROOM,
 };
 
 /// Convenient glob import for examples and tests.

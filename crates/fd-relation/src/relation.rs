@@ -390,10 +390,10 @@ pub struct BatchStats {
 /// cache line per attribute per tuple. This mirror packs each tuple's labels
 /// contiguously (`data[t * width ..][..width]`), so an agree set is a linear
 /// scan of two short `u32` slices — the layout the sampling loop, which
-/// dominates EulerFD's runtime, actually wants. Batched comparison fans the
-/// pair list out through [`fd_core::parallel::map_ordered`]; results always
-/// come back in pair order, so downstream folds are deterministic for any
-/// thread count.
+/// dominates EulerFD's runtime, actually wants. Batched comparison fans a
+/// pair list, or the sampler's window steps, out through
+/// [`fd_core::parallel::map_ordered`]; results always come back in pair
+/// order, so downstream folds are deterministic for any thread count.
 #[derive(Clone, Debug)]
 pub struct RowMajor {
     /// `data[t * width + a]` is the label of tuple `t` on attribute `a`.
@@ -459,64 +459,89 @@ impl RowMajor {
         out
     }
 
-    /// The comparison kernel of the sampling module: computes the agree set
-    /// of every pair and keeps only *novel* ones — not present in `seen`
-    /// (a read-only snapshot of the caller's dedup set) and not repeated
-    /// within the pair chunk that produced it. Each set comes tagged with
-    /// the index in `pairs` of the pair that produced it, so a caller that
-    /// packed several steps into one batch can hand each step its own sets.
+    /// The comparison kernel of the sampling module. Each step is one
+    /// cluster's row list with a window size; position `i` of the step is
+    /// the pair `(rows[i], rows[i + window - 1])`, compared where it lies in
+    /// the list. The kernel computes the agree set of every position of
+    /// every step and keeps only *novel* ones — not present in `seen` (a
+    /// read-only snapshot of the caller's dedup set) and not repeated within
+    /// the chunk that produced them. Every window is at least 1. Each set
+    /// comes tagged with its pair's index in the batch (the steps' positions
+    /// back to back), so a caller that packed several steps into one batch
+    /// can hand each step its own sets.
     ///
-    /// The returned sets preserve pair order (chunks are concatenated in
-    /// plan order, never completion order). A set straddling two chunks
-    /// may appear once per chunk; the caller's sequential fold deduplicates
-    /// across chunks, so the *folded* outcome is byte-identical for every
-    /// thread count.
-    pub fn novel_agree_sets(
+    /// The batch's pair indices are cut into chunks exactly as a list of its
+    /// pairs would be ([`fd_core::parallel::ranges`]), so a chunk may end in
+    /// the middle of a large step. A chunk works in blocks of 128 pairs: it
+    /// first computes the block's agree sets into one reused buffer, then
+    /// filters the buffer against `seen` and its own dedup set. The returned
+    /// sets preserve pair order (chunks are concatenated in plan order,
+    /// never completion order). A set straddling two chunks may appear once
+    /// per chunk; the caller's sequential fold deduplicates across chunks,
+    /// so the *folded* outcome is byte-identical for every thread count.
+    pub fn novel_window_agree_sets<'r>(
         &self,
-        pairs: &[(RowId, RowId)],
+        steps: impl Iterator<Item = (&'r [RowId], usize)> + Clone + Sync,
         seen: &AgreeSetTable,
         threads: usize,
     ) -> (Vec<(usize, AttrSet)>, BatchStats) {
-        let workers = self.plan_workers(pairs.len(), threads);
+        let pairs: usize =
+            steps.clone().map(|(rows, window)| window_pairs(rows.len(), window)).sum();
+        let workers = self.plan_workers(pairs, threads);
         let mut out = Vec::new();
-        let chunks = fd_core::parallel::chunks(pairs, workers, MIN_PAIRS_PER_CHUNK, |_| 1)
-            .scan(0, |offset, chunk| {
-                let start = *offset;
-                *offset += chunk.len();
-                Some((start, chunk))
-            });
         let steal = fd_core::parallel::map_ordered(
             "pair_compare",
             workers,
-            chunks,
-            |(start, chunk)| self.novel_chunk(start, chunk, seen),
+            fd_core::parallel::ranges(pairs, workers, MIN_PAIRS_PER_CHUNK),
+            |range| self.novel_window_chunk(steps.clone(), range, seen),
             |novel| fd_core::parallel::concat_chunk(&mut out, novel),
         );
         let stats = BatchStats {
-            pairs_compared: pairs.len() as u64,
+            pairs_compared: pairs as u64,
             candidates: out.len() as u64,
             workers: steal.workers,
         };
         (out, stats)
     }
 
-    /// One chunk's share of [`RowMajor::novel_agree_sets`]; the chunk
-    /// starts at index `start` of the whole batch.
-    fn novel_chunk(
+    /// One chunk's share of [`RowMajor::novel_window_agree_sets`]: the
+    /// batch's pairs with indices in `range`.
+    fn novel_window_chunk<'r>(
         &self,
-        start: usize,
-        pairs: &[(RowId, RowId)],
+        steps: impl Iterator<Item = (&'r [RowId], usize)>,
+        range: std::ops::Range<usize>,
         seen: &AgreeSetTable,
     ) -> Vec<(usize, AttrSet)> {
-        let mut local = AgreeSetTable::new();
-        let mut out = Vec::new();
-        for (i, &(t, u)) in pairs.iter().enumerate() {
-            let agree = self.agree_set(t, u);
-            if !seen.contains(&agree) && local.insert(agree) {
-                out.push((start + i, agree));
+        let mut buf = [AttrSet::empty(); BLOCK_PAIRS];
+        let mut filled = 0;
+        let mut novel =
+            NoveltyFilter { seen, next: range.start, local: AgreeSetTable::new(), out: Vec::new() };
+        let mut step_start = 0;
+        for (rows, window) in steps {
+            if step_start >= range.end {
+                break;
             }
+            let step_end = step_start + window_pairs(rows.len(), window);
+            let mut i = range.start.max(step_start) - step_start;
+            let end = range.end.min(step_end).saturating_sub(step_start);
+            while i < end {
+                let take = (end - i).min(BLOCK_PAIRS - filled);
+                let near = &rows[i..i + take];
+                let far = &rows[i + window - 1..][..take];
+                for ((slot, &t), &u) in buf[filled..filled + take].iter_mut().zip(near).zip(far) {
+                    *slot = self.agree_set(t, u);
+                }
+                filled += take;
+                i += take;
+                if filled == BLOCK_PAIRS {
+                    novel.filter(&buf[..filled]);
+                    filled = 0;
+                }
+            }
+            step_start = step_end;
         }
-        out
+        novel.filter(&buf[..filled]);
+        novel.out
     }
 
     /// The fewest pairs a compare batch needs before the shared policy
@@ -539,6 +564,43 @@ impl RowMajor {
 /// Fewest pairs worth a claimable chunk of their own: below this, the
 /// atomic-cursor claim round-trip rivals the comparison work itself.
 const MIN_PAIRS_PER_CHUNK: u64 = 1024;
+
+/// Pairs per block of the window kernel: the agree sets it computes before
+/// filtering them. The block lives on the stack, 4 KiB that stay in L1
+/// between the two phases; a chunk initializes it once, which a typical
+/// step of a few dozen pairs pays for as a whole (256 measured ~1 ns per
+/// pair slower on tall's window steps).
+const BLOCK_PAIRS: usize = 128;
+
+/// Number of pairs one window step compares: the positions `i` of a
+/// cluster of `len` rows with `i + window - 1 < len`.
+pub fn window_pairs(len: usize, window: usize) -> usize {
+    (len + 1).saturating_sub(window)
+}
+
+/// The second phase of a window-kernel block: keeps each agree set that is
+/// neither in the caller's `seen` snapshot nor earlier in the chunk, tagged
+/// with its pair index.
+struct NoveltyFilter<'s> {
+    seen: &'s AgreeSetTable,
+    /// Pair index of the next block's first set.
+    next: usize,
+    /// The chunk's own dedup set.
+    local: AgreeSetTable,
+    out: Vec<(usize, AttrSet)>,
+}
+
+impl NoveltyFilter<'_> {
+    /// Filters one computed block; the next block follows it in the batch.
+    fn filter(&mut self, block: &[AttrSet]) {
+        for (pair, &agree) in (self.next..).zip(block.iter()) {
+            if !self.seen.contains(&agree) && self.local.insert(agree) {
+                self.out.push((pair, agree));
+            }
+        }
+        self.next += block.len();
+    }
+}
 
 /// Linear-scan agree set of two packed rows — the scalar reference kernel.
 ///

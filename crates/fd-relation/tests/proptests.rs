@@ -6,7 +6,7 @@ use fd_relation::{
     agree_of_rows, packed_agree_of_rows, read_csv, read_csv_rows, read_csv_with_dictionaries,
     read_csv_with_report, sampling_clusters, sampling_clusters_cached, sampling_clusters_parallel,
     synth, write_csv, CsvOptions, MemoryPressure, Partition, PliCache, RaggedPolicy, Relation,
-    RelationBuilder, RowAction, RowId,
+    RelationBuilder, RowAction, RowId, RowMajor,
 };
 use proptest::prelude::*;
 
@@ -595,52 +595,87 @@ fn large_batches_split_across_workers_without_changing_results() {
     }
 }
 
-#[test]
-fn novel_agree_sets_fold_matches_sequential_novelty_scan() {
-    let (relation, pairs) = big_batch();
-    let rm = relation.row_major();
-    // Pre-seed the dedup set with the first 200 pairs' agree sets, as if an
-    // earlier sample had already surfaced them.
-    let mut seen = AgreeSetTable::new();
-    for &(t, u) in &pairs[..200] {
-        seen.insert(relation.agree_set(t, u));
-    }
-    // Oracle: the seed code path — scan pairs in order, keep first
-    // occurrences of unseen sets.
-    let mut oracle_seen = seen.clone();
-    let mut oracle: Vec<AttrSet> = Vec::new();
-    for &(t, u) in &pairs {
-        let agree = relation.agree_set(t, u);
-        if !seen.contains(&agree) && oracle_seen.insert(agree) {
-            oracle.push(agree);
+/// `big_batch`'s relation and its row-major mirror, built once.
+fn big_relation() -> &'static (Relation, RowMajor) {
+    static BIG: std::sync::OnceLock<(Relation, RowMajor)> = std::sync::OnceLock::new();
+    BIG.get_or_init(|| {
+        let relation = big_batch().0;
+        let row_major = relation.row_major();
+        (relation, row_major)
+    })
+}
+
+/// A window step over `big_relation`: `len` scattered rows from `start` on,
+/// compared at `window`.
+fn scattered_step(start: u32, len: usize, window: usize) -> (Vec<RowId>, usize) {
+    let n = big_relation().0.n_rows() as u32;
+    ((0..len as u32).map(|k| (start + k * 7_919) % n).collect(), window)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The window kernel against a per-pair oracle: lay every step's pairs
+    /// out in order, keep each agree set's first occurrence that `seen` does
+    /// not hold. Small steps include 1-row clusters and windows past the end
+    /// of their cluster (no pair at all). The two large steps hold at least
+    /// 8 971 pairs each, which engages a second worker from two threads on,
+    /// and no chunk is then longer than ~3 300 pairs, so each large step is
+    /// split across chunks.
+    #[test]
+    fn window_kernel_matches_per_pair_first_occurrences(
+        small in proptest::collection::vec((0u32..12_000, 1usize..=40, 2usize..=45), 0..=60),
+        big in proptest::collection::vec((0u32..12_000, 9_000usize..=12_000, 2usize..=30), 2..=2),
+        cut in (0usize..=60, 0usize..=60),
+        prefill in 0usize..=300,
+        threads in 1usize..=8,
+    ) {
+        let (relation, row_major) = big_relation();
+        let mut layout: Vec<(Vec<RowId>, usize)> =
+            small.iter().map(|&(start, len, window)| scattered_step(start, len, window)).collect();
+        let (first, second) = (cut.0.min(layout.len()), cut.1.min(layout.len()));
+        layout.insert(second, scattered_step(big[1].0, big[1].1, big[1].2));
+        layout.insert(first, scattered_step(big[0].0, big[0].1, big[0].2));
+        let steps: Vec<(&[RowId], usize)> =
+            layout.iter().map(|(rows, window)| (rows.as_slice(), *window)).collect();
+        let pairs: Vec<(RowId, RowId)> = steps
+            .iter()
+            .flat_map(|&(rows, window)| {
+                rows.windows(window).map(move |w| (w[0], w[window - 1]))
+            })
+            .collect();
+        let mut seen = AgreeSetTable::new();
+        for &(t, u) in pairs.iter().take(prefill) {
+            seen.insert(relation.agree_set(t, u));
         }
-    }
-    for threads in [1usize, 2, 3, 4, 7, 8] {
-        let (candidates, stats) = rm.novel_agree_sets(&pairs, &seen, threads);
-        assert_eq!(stats.pairs_compared, pairs.len() as u64, "threads={threads}");
-        assert_eq!(stats.candidates, candidates.len() as u64, "threads={threads}");
-        if threads >= 4 {
-            assert!(stats.workers >= 2, "expected multiple workers at threads={threads}");
-        }
+        let mut oracle_seen = seen.clone();
+        let oracle: Vec<(usize, AttrSet)> = pairs
+            .iter()
+            .enumerate()
+            .map(|(i, &(t, u))| (i, relation.agree_set(t, u)))
+            .filter(|&(_, agree)| oracle_seen.insert(agree))
+            .collect();
+
+        let (candidates, stats) =
+            row_major.novel_window_agree_sets(steps.iter().copied(), &seen, threads);
+        prop_assert_eq!(stats.pairs_compared, pairs.len() as u64);
+        prop_assert_eq!(stats.candidates, candidates.len() as u64);
+        prop_assert_eq!(stats.workers >= 2, threads >= 2, "workers={}", stats.workers);
         // Each set is tagged with the pair that produced it, in pair order.
-        for window in candidates.windows(2) {
-            assert!(window[0].0 < window[1].0, "threads={threads}");
-        }
+        prop_assert!(candidates.windows(2).all(|w| w[0].0 < w[1].0));
         for &(pair, agree) in &candidates {
             let (t, u) = pairs[pair];
-            assert_eq!(relation.agree_set(t, u), agree, "threads={threads}");
+            prop_assert_eq!(relation.agree_set(t, u), agree);
         }
-        // A set straddling worker chunks may appear once per chunk; the
-        // sequential fold collapses those, and the folded order must equal
-        // the global first-occurrence order.
+        if stats.workers == 1 {
+            prop_assert_eq!(&candidates, &oracle);
+        }
+        // A set straddling chunks may appear once per chunk; the sequential
+        // fold collapses those to the global first occurrences.
         let mut fold_seen = seen.clone();
-        let mut folded: Vec<AttrSet> = Vec::new();
-        for (_, agree) in candidates {
-            if fold_seen.insert(agree) {
-                folded.push(agree);
-            }
-        }
-        assert_eq!(folded, oracle, "threads={threads}");
+        let folded: Vec<(usize, AttrSet)> =
+            candidates.into_iter().filter(|&(_, agree)| fold_seen.insert(agree)).collect();
+        prop_assert_eq!(folded, oracle);
     }
 }
 

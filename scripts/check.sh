@@ -50,9 +50,10 @@ cargo test -q
 cargo test -q -p fd-relation --test proptests
 # Kernel-equivalence gate: the 4-lane agree-set kernel must match the
 # scalar reference for arbitrary rows of every width up to 256 attributes,
-# and work-stealing folds must match the sequential scan.
+# and the sampler's window kernel, walking each step in place and split
+# across chunks at 1-8 threads, must fold to the per-pair first occurrences.
 cargo test -q -p fd-relation --test proptests packed_kernel_matches_scalar_reference
-cargo test -q -p fd-relation --test proptests novel_agree_sets_fold_matches_sequential_novelty_scan
+cargo test -q -p fd-relation --test proptests window_kernel_matches_per_pair_first_occurrences
 # Dedup-table gate: the open-addressing agree-set table every sampling loop
 # dedups with must answer each insert and contains like a hash set, through
 # several growths and for keys in every word, the empty set and full(256).
@@ -87,10 +88,12 @@ cargo test -q -p fd-baselines --lib tane::tests::tane_is_thread_count_invariant
 # attribute across the 64/128-attribute word boundaries, an inversion job
 # that removes nothing must build no index, and every inversion path must
 # match the textbook per-attribute Algorithm 3 loop on a 70-attribute schema.
+# The FD set read by scanning each tree's arena must equal the one walked.
 cargo test -q -p fd-core --test proptests blocked_extensions_match_per_attribute_probes
 cargo test -q -p fd-core --test proptests extension_index_matches_per_attribute_probes
 cargo test -q -p fd-core --lib cover::tests::a_job_whose_non_fds_remove_nothing_builds_no_index
 cargo test -q -p fd-core --test proptests wide_inversion_matches_textbook_algorithm_3
+cargo test -q -p fd-core --lib cover::tests::to_fdset_matches_the_for_each_set
 # One-inversion gate: `PCover::invert_batch` is the only batch inversion. It
 # matches one non-FD at a time at 1, 2 and 4 threads; under a budget that
 # never trips it equals an unlimited run; a cancelled token or a past
@@ -110,13 +113,16 @@ cargo test -q -p fd-baselines --lib hyfd::tests::a_trip_returns_every_exact_fd_b
 # instances of the shared set tree must keep every cached intersection and
 # mask union exact. A delete's one-pass Ncover rebuild must equal a fresh
 # cover, and rebuilding a Pcover tree from the maximal survivors must equal
-# rebuilding it from all of them. AID-FD's sampling and the agree-set
-# collector, inside one large cluster, must stop within one poll stride of
-# pairs after the poll that trips.
+# rebuilding it from all of them, and a delete that leaves an RHS's maximal
+# non-FDs unchanged, skipping its re-inversion, must still equal a cold
+# engine. AID-FD's sampling and the agree-set collector, inside one large
+# cluster, must stop within one poll stride of pairs after the poll that
+# trips.
 cargo test -q -p fd-core --test proptests ncover_matches_textbook_per_rhs_cover
 cargo test -q -p fd-core --lib set_tree::tests::cached_summaries_match_the_leaves_beneath
 cargo test -q -p fd-core --lib cover::tests::ncover_rebuild_matches_a_fresh_cover
 cargo test -q -p fd-core --test proptests pcover_rebuild_from_maximal_survivors_matches_all_survivors
+cargo test -q -p eulerfd --lib incremental::tests::a_delete_that_leaves_the_maximal_non_fds_keeps_the_candidates
 cargo test -q -p fd-baselines --lib aidfd::tests::a_pair_cap_stops_sampling_within_one_poll_stride
 cargo test -q -p fd-baselines --lib agree::tests::a_cover_cap_stops_a_large_cluster_within_one_poll_stride
 # Serving-layer gate: repeat reads share one cached, pre-rendered result and
